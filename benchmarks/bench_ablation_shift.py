@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report
-from repro.core.adaptive import adaptive_sshopm
-from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import suggested_shift
+from repro.solvers.adaptive import adaptive_sshopm
+from repro.engine.fleet import fleet_solve
+from repro.solvers.sshopm import suggested_shift
 from repro.mri.phantom import make_phantom
 
 
@@ -25,8 +25,8 @@ def test_shift_tradeoff(benchmark):
     conservative = float(np.median([suggested_shift(tensors[t]) for t in range(len(tensors))]))
 
     def run_config(alpha):
-        res = multistart_sshopm(tensors, num_starts=32, alpha=alpha, rng=22,
-                                tol=1e-10, max_iters=2000)
+        res = fleet_solve(tensors, num_starts=32, alpha=alpha, rng=22,
+                          tol=1e-10, max_iters=2000)
         conv = res.converged.mean()
         iters = res.iterations[res.converged].mean() if res.converged.any() else np.nan
         return conv, iters

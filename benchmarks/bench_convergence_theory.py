@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.core.solve import find_eigenpairs
 from repro.core.theory import analyze_fixed_point, estimate_rate, minimal_attracting_shift
 from repro.symtensor.random import random_symmetric_tensor

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report
-from repro.core.multistart import multistart_sshopm
+from repro.engine.fleet import fleet_solve
 from repro.gpu.kernelspec import sshopm_launch
 from repro.gpu.perfmodel import predict_sshopm
 from repro.parallel.cpumodel import predict_cpu_sshopm
@@ -105,9 +105,8 @@ def test_bench_host_batched_scaling(benchmark, paper_workload, T):
     subset = phantom.tensors.subset(T)
 
     def run():
-        return multistart_sshopm(subset, starts=starts, alpha=0.0, tol=1e-6,
-                                 max_iters=30, backend="batched_unrolled",
-                                 dtype=np.float32)
+        return fleet_solve(subset, starts=starts, alpha=0.0, tol=1e-6,
+                           max_iters=30, variant="unrolled", dtype=np.float32)
 
     benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)
 
@@ -122,9 +121,9 @@ def test_report_host_scaling(benchmark, paper_workload):
         for T in (4, 64, 256, 1024):
             subset = phantom.tensors.subset(T)
             t0 = time.perf_counter()
-            res = multistart_sshopm(subset, starts=starts, alpha=0.0, tol=1e-6,
-                                    max_iters=30, backend="batched_unrolled",
-                                    dtype=np.float32)
+            res = fleet_solve(subset, starts=starts, alpha=0.0, tol=1e-6,
+                              max_iters=30, variant="unrolled",
+                              dtype=np.float32)
             dt = time.perf_counter() - t0
             sweeps = res.sweeps
             pair_iters = T * 128 * sweeps

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import format_table, report
-from repro.core.multistart import multistart_sshopm
+from repro.engine.fleet import fleet_solve
 from repro.instrument import recording, span
 from repro.instrument.recorder import _NULL_SPAN
 from repro.symtensor.random import random_symmetric_batch
@@ -43,8 +43,8 @@ def _disabled_hook_cost(reps: int = 200_000) -> float:
 
 def _workload():
     batch = random_symmetric_batch(64, 4, 3, rng=3)
-    return multistart_sshopm(batch, num_starts=32, alpha=0.0, tol=1e-8,
-                             max_iters=120, rng=4)
+    return fleet_solve(batch, num_starts=32, alpha=0.0, tol=1e-8,
+                       max_iters=120, rng=4)
 
 
 def _hook_sites(rec) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report, save_trace_report
-from repro.core.multistart import multistart_sshopm
+from repro.engine.fleet import fleet_solve
 from repro.instrument import recording
 from repro.mri.fibers import extract_fibers_batch
 from repro.mri.metrics import evaluate_detection
@@ -33,9 +33,9 @@ def test_bench_eigensolve_stage(benchmark, paper_workload):
     phantom, starts = paper_workload
 
     def run():
-        return multistart_sshopm(phantom.tensors, starts=starts, alpha=0.0,
-                                 tol=1e-6, max_iters=60, dtype=np.float32,
-                                 backend="batched_unrolled")
+        return fleet_solve(phantom.tensors, starts=starts, alpha=0.0,
+                           tol=1e-6, max_iters=60, dtype=np.float32,
+                           variant="unrolled")
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     assert res.converged.mean() > 0.9
@@ -68,7 +68,7 @@ def test_full_pipeline_accuracy(benchmark):
     phantom, rep = benchmark.pedantic(run, rounds=1, iterations=1)
     rec = traced["rec"]
     save_trace_report("mri_pipeline_trace", rec)
-    solve = rec.find("pipeline/extract_fibers_batch/multistart_sshopm")
+    solve = rec.find("pipeline/extract_fibers_batch/fleet_solve")
     assert solve is not None and solve.total("flops") > 0
     assert rep.correct_count_fraction > 0.9
     assert rep.mean_angular_error_deg < 5.0

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report
-from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import sshopm
+from repro.engine.fleet import fleet_solve
+from repro.solvers.sshopm import sshopm
 from repro.gpu.kernelspec import sshopm_launch
 from repro.gpu.perfmodel import predict_sshopm
 from repro.parallel.cpumodel import predict_cpu_sshopm
@@ -137,9 +137,9 @@ def test_bench_full_workload_batched(benchmark, paper_workload, backend):
     phantom, starts = paper_workload
 
     def run():
-        return multistart_sshopm(
+        return fleet_solve(
             phantom.tensors, starts=starts, alpha=0.0, tol=1e-6, max_iters=60,
-            backend=backend, dtype=np.float32,
+            variant=backend, dtype=np.float32,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report
-from repro.core.multistart import multistart_sshopm
+from repro.engine.fleet import fleet_solve
 from repro.gpu.perfmodel import predict_sshopm
 from repro.gpu.warps import divergence_adjusted_iterations, warp_profile
 
@@ -22,7 +22,7 @@ def test_warp_divergence_report(benchmark, paper_workload):
     phantom, starts = paper_workload
 
     def build():
-        res = multistart_sshopm(
+        res = fleet_solve(
             phantom.tensors, starts=starts, alpha=0.0, tol=1e-6, max_iters=200,
             dtype=np.float32,
         )

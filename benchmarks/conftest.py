@@ -70,7 +70,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def paper_workload():
     """The paper's test workload: 1024 order-4 dim-3 tensors (synthetic
     phantom), 128 shared starting vectors, alpha = 0 (Section V-A)."""
-    from repro.core.multistart import starting_vectors
+    from repro.util.rng import starting_vectors
     from repro.mri.phantom import make_phantom
 
     phantom = make_phantom(rows=32, cols=32, num_gradients=24, noise_sigma=0.01, rng=1024)
@@ -83,10 +83,10 @@ def measured_iterations(paper_workload):
     """Average SS-HOPM iteration count on the paper workload (feeds the
     device models so modeled runtimes reflect the real convergence
     behaviour of the test set)."""
-    from repro.core.multistart import multistart_sshopm
+    from repro.engine.fleet import fleet_solve
 
     phantom, starts = paper_workload
-    res = multistart_sshopm(
+    res = fleet_solve(
         phantom.tensors, starts=starts, alpha=0.0, tol=1e-6, max_iters=200,
         dtype=np.float32,
     )

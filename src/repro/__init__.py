@@ -11,9 +11,9 @@ Subpackages
     dense reference, spec-faithful compressed loops, precomputed tables,
     code-generated unrolled, and batched vectorized.
 ``repro.core``
-    Batched multistart, eigenpair deduplication and stability
-    classification (the solver iterations themselves live in
-    ``repro.solvers``).
+    Eigenpair extraction, deduplication and stability classification
+    (the solver iterations live in ``repro.solvers``, the multistart
+    engine in ``repro.engine``).
 ``repro.solvers``
     The solver zoo: SS-HOPM (fixed and adaptive shift), GEAP
     (per-iteration adaptive shift), QRST (tensor QR with deflation), and
@@ -26,7 +26,8 @@ Subpackages
     execution, calibrated performance model (substitutes for the Tesla
     C2050 — see DESIGN.md).
 ``repro.parallel``
-    CPU partitioning/executor and the calibrated OpenMP scaling model.
+    CPU partitioning, the thread/process fleet tiers, and the calibrated
+    OpenMP scaling model.
 ``repro.mri``
     The DW-MRI fiber-detection application: synthetic phantom, tensor
     fitting, fiber extraction, metrics.

@@ -29,14 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.schema import BENCH_SCHEMA, validate_bench
-from repro.core.multistart import multistart_sshopm, starting_vectors
+from repro.engine.fleet import fleet_solve
 from repro.solvers.sshopm import sshopm
 from repro.instrument import Recorder, span
 from repro.instrument.events import current_spool, new_run_id, provenance
 from repro.instrument.metrics import use_registry
 from repro.kernels.dispatch import get_kernels
-from repro.parallel.executor import parallel_multistart_sshopm
+from repro.parallel.fleet import parallel_fleet_solve
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
+from repro.util.rng import starting_vectors
 
 __all__ = ["BenchTimeout", "SMOKE_WORKLOADS", "main", "run_smoke",
            "write_bench_file"]
@@ -87,22 +88,22 @@ def _batch(tensors=8, m=4, n=6, seed=0):
     return random_symmetric_batch(tensors, m, n, rng=np.random.default_rng(seed))
 
 
-def _smoke_multistart_vectorized():
+def _smoke_fleet_vectorized():
     """Mirror of bench_table3_performance.py (vectorized batched kernels)."""
     batch = _batch()
     starts = starting_vectors(16, batch.n, rng=np.random.default_rng(1))
-    multistart_sshopm(batch, alpha=2.0, starts=starts, max_iters=40,
-                      backend="batched", telemetry=False)
-    return {"tensors": len(batch), "starts": 16, "backend": "batched"}
+    fleet_solve(batch, alpha=2.0, starts=starts, max_iters=40,
+                variant="vectorized", telemetry=False)
+    return {"tensors": len(batch), "starts": 16, "variant": "vectorized"}
 
 
-def _smoke_multistart_unrolled():
+def _smoke_fleet_unrolled():
     """Mirror of bench_ablation_cse.py (code-generated unrolled kernels)."""
     batch = _batch(tensors=8, m=4, n=4)
     starts = starting_vectors(16, batch.n, rng=np.random.default_rng(1))
-    multistart_sshopm(batch, alpha=2.0, starts=starts, max_iters=40,
-                      backend="batched_unrolled", telemetry=False)
-    return {"tensors": len(batch), "starts": 16, "backend": "batched_unrolled"}
+    fleet_solve(batch, alpha=2.0, starts=starts, max_iters=40,
+                variant="unrolled", telemetry=False)
+    return {"tensors": len(batch), "starts": 16, "variant": "unrolled"}
 
 
 def _smoke_sshopm_single():
@@ -125,17 +126,17 @@ def _smoke_kernel_ax_m1():
     return {"tensors": len(batch), "variant": suite.name, "applications": 10}
 
 
-def _smoke_parallel_two_workers():
-    """Mirror of bench_figure5_scaling.py (threaded chunk executor)."""
+def _smoke_thread_fleet():
+    """Mirror of bench_figure5_scaling.py (thread-tier fleet shards)."""
     batch = _batch(tensors=8, m=3, n=5)
-    parallel_multistart_sshopm(batch, workers=2, num_starts=8, alpha=1.0,
-                               max_iters=30, rng=np.random.default_rng(5))
-    return {"tensors": len(batch), "workers": 2}
+    parallel_fleet_solve(batch, workers=2, num_starts=8, alpha=1.0,
+                         max_iters=30, rng=np.random.default_rng(5),
+                         executor="thread")
+    return {"tensors": len(batch), "workers": 2, "executor": "thread"}
 
 
 def _smoke_process_fleet():
     """Mirror of bench_process_fleet.py (zero-copy shm worker processes)."""
-    from repro.parallel.fleet import parallel_fleet_solve
     from repro.parallel.shm import SHM_AVAILABLE
 
     batch = _batch(tensors=6, m=4, n=3, seed=6)
@@ -159,7 +160,6 @@ def _smoke_span_overhead():
 
 def _smoke_method_compare():
     """Mirror of bench_methods.py (solver zoo method comparison)."""
-    from repro.engine import fleet_solve
     from repro.solvers import qrst_batch
 
     batch = _batch(tensors=4, m=4, n=4, seed=8)
@@ -173,11 +173,11 @@ def _smoke_method_compare():
 
 
 SMOKE_WORKLOADS = [
-    ("multistart_vectorized", "bench_table3_performance.py", _smoke_multistart_vectorized),
-    ("multistart_unrolled", "bench_ablation_cse.py", _smoke_multistart_unrolled),
+    ("fleet_vectorized", "bench_table3_performance.py", _smoke_fleet_vectorized),
+    ("fleet_unrolled", "bench_ablation_cse.py", _smoke_fleet_unrolled),
     ("sshopm_single", "bench_convergence_theory.py", _smoke_sshopm_single),
     ("kernel_ax_m1", "bench_table2_costs.py", _smoke_kernel_ax_m1),
-    ("parallel_two_workers", "bench_figure5_scaling.py", _smoke_parallel_two_workers),
+    ("fleet_thread_two_workers", "bench_figure5_scaling.py", _smoke_thread_fleet),
     ("process_fleet", "bench_process_fleet.py", _smoke_process_fleet),
     ("span_overhead", "bench_instrument_overhead.py", _smoke_span_overhead),
     ("method_compare", "bench_methods.py", _smoke_method_compare),

@@ -11,7 +11,7 @@ A bench file is a plain JSON object::
       },
       "benchmarks": [
         {
-          "name": "multistart_vectorized",  # unique within the file
+          "name": "fleet_vectorized",  # unique within the file
           "source": "bench_table3_performance.py",  # suite file mirrored
           "reps": 5,
           "seconds": [0.012, 0.011, ...],   # raw per-rep wall times

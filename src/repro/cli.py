@@ -263,7 +263,6 @@ def _cmd_solve(args) -> int:
             tol=args.tol,
             max_iters=args.max_iters,
             seed=args.seed,
-            workers=args.workers,
             retry=retry,
             checkpoint=args.resume or args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -310,7 +309,6 @@ def _solve_with_method(args, tensor) -> int:
             tol=args.tol,
             max_iters=args.max_iters,
             rng=args.seed,
-            workers=args.workers,
             method=args.method,
             config=SolveConfig(retry=retry),
         )
@@ -702,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--method", choices=("sshopm", "geap", "qrst", "auto"),
                    default="sshopm",
                    help="solver method (repro.solvers registry); anything "
@@ -714,7 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="CKPT.json", default=None,
                    help="write periodic checkpoints of completed starts")
     p.add_argument("--checkpoint-every", type=int, default=8, metavar="N",
-                   help="checkpoint after every N completed starts")
+                   help="solve starts in fleet chunks of N and checkpoint "
+                   "after each chunk")
     p.add_argument("--resume", metavar="CKPT.json", default=None,
                    help="resume an interrupted sweep from its checkpoint "
                    "(parameters must match; results are bit-for-bit "

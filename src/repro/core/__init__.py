@@ -1,14 +1,10 @@
 """The paper's primary contribution: SS-HOPM and eigenpair extraction.
 
-The solver implementations moved to :mod:`repro.solvers` in PR 10; the
-function names below stay re-exported for compatibility.  The shim
-submodules must enter ``sys.modules`` *before* the function names are
-bound, otherwise a later ``from repro.core.sshopm import ...`` would
-set the submodule as the package attribute and shadow the function.
+The solver iterations live in :mod:`repro.solvers` and the multistart
+engine in :mod:`repro.engine`; the solver names below are re-exported so
+``from repro.core import sshopm`` keeps working.
 """
 
-from repro.core import adaptive as _shim_adaptive  # noqa: F401
-from repro.core import sshopm as _shim_sshopm  # noqa: F401
 from repro.solvers.adaptive import adaptive_sshopm
 from repro.core.config import SolveConfig
 from repro.core.basins import (
@@ -27,7 +23,6 @@ from repro.core.eigenpairs import (
     hessian_matrix,
     projected_hessian_eigenvalues,
 )
-from repro.core.multistart import MultistartResult, multistart_sshopm, starting_vectors
 from repro.core.refine import NewtonResult, newton_refine, refine_pairs
 from repro.core.results import FleetResult, ResultProtocol
 from repro.core.solve import find_eigenpairs, find_eigenpairs_batch
@@ -57,10 +52,7 @@ __all__ = [
     "hessian_matrix",
     "projected_hessian_eigenvalues",
     "FleetResult",
-    "MultistartResult",
     "ResultProtocol",
-    "multistart_sshopm",
-    "starting_vectors",
     "NewtonResult",
     "newton_refine",
     "refine_pairs",

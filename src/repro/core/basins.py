@@ -4,7 +4,7 @@ The paper: "there are still many open problems regarding choice of starting
 vector ... and finding eigenpairs with certain properties."  Multistart
 coverage depends on the basins of attraction of the shifted iteration; this
 module maps them: a (near-)uniform grid of starting vectors on the sphere
-is run through lockstep SS-HOPM and each start is labeled with the eigenpair
+is run through the fleet engine and each start is labeled with the eigenpair
 it reaches.  The result quantifies how many random starts are needed to
 find everything (basin fractions -> coupon-collector estimates) and renders
 an ASCII map of the sphere for n = 3.
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.eigenpairs import Eigenpair, canonicalize_sign, dedupe_eigenpairs
-from repro.core.multistart import multistart_sshopm
 from repro.symtensor.storage import SymmetricTensor
 from repro.util.rng import fibonacci_sphere
 
@@ -70,8 +69,10 @@ def basin_map(
         starts = fibonacci_sphere(resolution)
     starts = np.asarray(starts, dtype=np.float64)
 
-    res = multistart_sshopm(tensor, starts=starts, alpha=alpha, tol=tol,
-                            max_iters=max_iter)
+    from repro.engine.fleet import fleet_solve
+
+    res = fleet_solve(tensor, starts=starts, alpha=alpha, tol=tol,
+                      max_iters=max_iter)
     lams = res.eigenvalues[0]
     vecs = res.eigenvectors[0]
     conv = res.converged[0]

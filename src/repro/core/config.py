@@ -1,8 +1,8 @@
-"""Shared solver configuration (`SolveConfig`) and signature shims.
+"""Shared solver configuration (`SolveConfig`).
 
-Every SS-HOPM driver (:func:`~repro.core.sshopm.sshopm`,
-:func:`~repro.core.adaptive.adaptive_sshopm`,
-:func:`~repro.core.multistart.multistart_sshopm`,
+Every SS-HOPM driver (:func:`~repro.solvers.sshopm.sshopm`,
+:func:`~repro.solvers.adaptive.adaptive_sshopm`,
+:func:`~repro.engine.fleet.fleet_solve`,
 :func:`~repro.core.solve.find_eigenpairs` and friends) accepts the same
 normalized keyword vocabulary — ``alpha=``, ``tol=``, ``max_iters=``,
 ``rng=`` — plus a ``config=`` bundle carrying any subset of them.
@@ -12,18 +12,14 @@ a non-``None`` field of ``config``, then the solver's own default.  Fields
 a solver does not use (e.g. ``num_starts`` for single-start ``sshopm``)
 are simply ignored, so one ``SolveConfig`` can parameterize a whole
 pipeline.
-
-``max_iter=`` (the pre-1.1 spelling) is still accepted everywhere with a
-:class:`DeprecationWarning`; see :func:`reconcile_max_iters`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any
 
-__all__ = ["SolveConfig", "resolve_option", "reconcile_max_iters"]
+__all__ = ["SolveConfig", "resolve_option"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,7 @@ class SolveConfig:
 
         cfg = SolveConfig(alpha=2.0, tol=1e-10, max_iters=2000)
         sshopm(A, config=cfg)
-        multistart_sshopm(batch, num_starts=256, config=cfg)
+        fleet_solve(batch, num_starts=256, config=cfg)
 
     Fields
     ------
@@ -114,20 +110,3 @@ def resolve_option(name: str, explicit, config: SolveConfig | None, default):
             return value
     return default
 
-
-def reconcile_max_iters(max_iters, max_iter, *, stacklevel: int = 3):
-    """Fold the deprecated ``max_iter=`` spelling into ``max_iters``.
-
-    Passing both (with different values) is an error; passing only the old
-    name warns and forwards the value.
-    """
-    if max_iter is None:
-        return max_iters
-    warnings.warn(
-        "the max_iter= keyword is deprecated; use max_iters=",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if max_iters is not None and max_iters != max_iter:
-        raise TypeError("pass max_iters= or the deprecated max_iter=, not both")
-    return max_iter

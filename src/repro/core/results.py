@@ -1,24 +1,17 @@
 """Normalized result types: one protocol across every solver.
 
-Every solver result — :class:`~repro.core.sshopm.SSHOPMResult` (one
-tensor, one start), :class:`~repro.core.multistart.MultistartResult`
-(lockstep multistart), and :class:`FleetResult` (the fleet engine's
-whole-workload solve) — satisfies :class:`ResultProtocol`: it exposes
+Every solver result — :class:`~repro.solvers.sshopm.SSHOPMResult` (one
+tensor, one start) and :class:`FleetResult` (every multistart solve, from
+the fleet engine) — satisfies :class:`ResultProtocol`: it exposes
 ``converged``, ``telemetry``, and an ``eigenpairs()`` method producing
 deduplicated :class:`~repro.core.eigenpairs.Eigenpair` objects.  Code
 that consumes "whatever the solver returned" (the :func:`repro.solve`
 facade, the CLI, reports) programs against the protocol instead of
 switching on concrete types.
-
-Renamed fields keep deprecated aliases that warn but still work; see
-:func:`warn_renamed_field` (``MultistartResult.total_sweeps`` →
-``.sweeps`` is the current straggler, mirrored on :class:`FleetResult`
-for uniformity).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
@@ -26,21 +19,7 @@ import numpy as np
 
 from repro.core.eigenpairs import Eigenpair, dedupe_eigenpairs
 
-__all__ = ["FleetResult", "ResultProtocol", "warn_renamed_field"]
-
-
-def warn_renamed_field(old: str, new: str, *, stacklevel: int = 3) -> None:
-    """Emit the shared renamed-result-field :class:`DeprecationWarning`.
-
-    ``stacklevel=3`` blames the attribute access site (caller → property
-    wrapper → this helper), so the warning points at user code, not at
-    the result class.
-    """
-    warnings.warn(
-        f"the {old} result field is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
+__all__ = ["FleetResult", "ResultProtocol"]
 
 
 @runtime_checkable
@@ -115,12 +94,6 @@ class FleetResult:
     def num_starts(self) -> int:
         return self.eigenvalues.shape[1]
 
-    @property
-    def total_sweeps(self) -> int:
-        """Deprecated alias of :attr:`sweeps` (pre-1.2 spelling)."""
-        warn_renamed_field("total_sweeps", "sweeps")
-        return self.sweeps
-
     def converged_fraction(self) -> float:
         return float(np.mean(self.converged)) if self.converged.size else 0.0
 
@@ -135,16 +108,21 @@ class FleetResult:
         distinct spectrum reached for tensor ``t`` (failed and
         unconverged lanes are excluded).
 
-        Uses the batch captured at solve time; pass ``tensors=`` to
-        override (required for results reloaded from disk, which carry
-        no batch).  ``classify=True`` also fills residuals and stability
-        labels (costs one Hessian eigendecomposition per pair).
+        Uses the batch captured at solve time; pass ``tensors=`` (a
+        batch, or a single tensor for a one-tensor result) to override —
+        required for results reloaded from disk, which carry no batch.
+        ``classify=True`` also fills residuals and stability labels
+        (costs one Hessian eigendecomposition per pair).
         """
+        from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
+
         batch = tensors if tensors is not None else self.tensors
         if batch is None:
             raise ValueError(
                 "this FleetResult carries no tensor batch; pass tensors="
             )
+        if isinstance(batch, SymmetricTensor):
+            batch = SymmetricTensorBatch(batch.values[None, :], batch.m, batch.n)
         if len(batch) != self.num_tensors:
             raise ValueError(
                 f"batch has {len(batch)} tensors but result has "

@@ -1,6 +1,7 @@
 """High-level eigenpair solvers: the public entry points most users want.
 
-``find_eigenpairs`` runs multistart SS-HOPM on one tensor and returns the
+``find_eigenpairs`` runs multistart SS-HOPM (on the fleet engine,
+:func:`~repro.engine.fleet.fleet_solve`) on one tensor and returns the
 deduplicated, classified spectrum; ``find_eigenpairs_batch`` does the same
 for a whole batch (the paper's voxel workload) with shared starting vectors.
 Both accept a :class:`~repro.core.config.SolveConfig` and record
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters, resolve_option
+from repro.core.config import SolveConfig, resolve_option
 from repro.core.eigenpairs import Eigenpair, dedupe_eigenpairs
-from repro.core.multistart import MultistartResult, multistart_sshopm
+from repro.core.results import FleetResult
 from repro.instrument import span as _span
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
 
@@ -33,8 +34,6 @@ def find_eigenpairs(
     angle_tol: float = 1e-3,
     rng=None,
     config: SolveConfig | None = None,
-    *,
-    max_iter: int | None = None,
 ) -> list[Eigenpair]:
     """Real eigenpairs of ``tensor`` reachable by SS-HOPM multistart.
 
@@ -45,15 +44,16 @@ def find_eigenpairs(
     minima.  Returns pairs sorted by descending eigenvalue.
 
     Defaults: ``num_starts=128``, ``alpha=0``, ``tol=1e-12``,
-    ``max_iters=1000``, ``scheme="random"``; any can come from ``config``
-    (``max_iter=`` is the deprecated spelling of ``max_iters=``).
+    ``max_iters=1000``, ``scheme="random"``; any can come from ``config``.
     """
-    max_iters = reconcile_max_iters(max_iters, max_iter)
+    from repro.engine.fleet import fleet_solve
+
+    num_starts = resolve_option("num_starts", num_starts, config, 128)
     tol = resolve_option("tol", tol, config, 1e-12)
     max_iters = resolve_option("max_iters", max_iters, config, 1000)
 
     with _span("find_eigenpairs"):
-        result = multistart_sshopm(
+        result = fleet_solve(
             tensor,
             num_starts=num_starts,
             alpha=alpha,
@@ -88,21 +88,20 @@ def find_eigenpairs_batch(
     angle_tol: float = 1e-2,
     rng=None,
     config: SolveConfig | None = None,
-    *,
-    max_iter: int | None = None,
-) -> tuple[list[list[Eigenpair]], MultistartResult]:
+) -> tuple[list[list[Eigenpair]], FleetResult]:
     """Per-tensor deduplicated eigenpairs for a whole batch.
 
     Returns ``(pairs, raw)`` where ``pairs[t]`` is the sorted eigenpair list
     of tensor ``t`` and ``raw`` is the underlying
-    :class:`~repro.core.multistart.MultistartResult` (useful for
-    convergence statistics).  Defaults as in :func:`find_eigenpairs` except
+    :class:`~repro.core.results.FleetResult` (useful for convergence
+    statistics).  Defaults as in :func:`find_eigenpairs` except
     ``tol=1e-10`` and ``max_iters=500``.
     """
-    max_iters = reconcile_max_iters(max_iters, max_iter)
+    from repro.engine.fleet import fleet_solve
 
+    num_starts = resolve_option("num_starts", num_starts, config, 128)
     with _span("find_eigenpairs_batch"):
-        raw = multistart_sshopm(
+        raw = fleet_solve(
             tensors,
             num_starts=num_starts,
             alpha=alpha,

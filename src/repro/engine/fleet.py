@@ -1,11 +1,9 @@
 """The fleet solve engine: one vectorized SS-HOPM sweep over a whole workload.
 
-:func:`~repro.core.multistart.multistart_sshopm` vectorizes the ``V``
-starts of each tensor but advances every (tensor, start) pair to the
-common ``max_iters`` horizon, carrying converged pairs as dead weight in
-every kernel call.  The fleet engine instead treats the workload as a
-flat pool of ``L = T * V`` independent *lanes* and keeps the kernels
-dense over the *active* lanes only:
+This is the package's one multistart engine — the paper's Section V
+mapping of a thread block per tensor and a thread per starting vector.
+It treats the workload as a flat pool of ``L = T * V`` independent
+*lanes* and keeps the kernels dense over the *active* lanes only:
 
 * every lane carries its own state — iterate, lambda, shift — so shifts
   can escalate per lane (adaptive mode) without splitting the batch;
@@ -28,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters, resolve_option
-from repro.core.multistart import starting_vectors
+from repro.core.config import SolveConfig, resolve_option
 from repro.core.results import FleetResult
 from repro.instrument import current_recorder, gauge as _gauge
 from repro.instrument import span as _span
 from repro.instrument.events import emit as _emit
+from repro.instrument.kernels import instrumented_plan
 from repro.instrument.metrics import (
     observe_fleet_compaction,
     observe_solver_run,
@@ -44,6 +42,7 @@ from repro.resilience.guards import LaneGuard, resolve_guards
 from repro.symtensor.indexing import multiplicity_table
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
 from repro.util.flopcount import FlopCounter, null_counter
+from repro.util.rng import starting_vectors
 
 __all__ = ["FleetWorkspace", "fleet_solve", "suggested_shifts"]
 
@@ -55,7 +54,7 @@ _OSC_WINDOW = 4
 def suggested_shifts(tensors: SymmetricTensorBatch) -> np.ndarray:
     """Per-tensor convergence-guaranteeing shifts ``m (m-1) ||A_t||_F``.
 
-    The batched analog of :func:`repro.core.sshopm.suggested_shift`,
+    The batched analog of :func:`repro.solvers.sshopm.suggested_shift`,
     computed in one vectorized pass over the compressed values.
     """
     m, n = tensors.m, tensors.n
@@ -140,8 +139,10 @@ def _as_batch(tensors) -> SymmetricTensorBatch:
 
 
 def _resolve_starts(starts, num_starts, n, scheme, rng, dtype) -> np.ndarray:
+    # generated starts take the same normalization as explicit ones, so a
+    # tier that generates the set and hands it on solves bit-identically
     if starts is None:
-        return starting_vectors(num_starts, n, scheme=scheme, rng=rng, dtype=dtype)
+        starts = starting_vectors(num_starts, n, scheme=scheme, rng=rng)
     starts = np.asarray(starts, dtype=dtype)
     if starts.ndim != 2 or starts.shape[1] != n:
         raise ValueError(f"starts must have shape (V, {n}), got {starts.shape}")
@@ -177,9 +178,19 @@ def fleet_solve(
 ) -> FleetResult:
     """Solve the whole ``T``-tensor, ``V``-start workload in one fleet run.
 
-    Parameters mirror :func:`~repro.core.multistart.multistart_sshopm`
-    (same defaults, same ``config`` resolution); the engine-specific ones:
-
+    Parameters
+    ----------
+    tensors : a batch (or a single tensor, run as a batch of one).
+    num_starts, alpha, tol, max_iters : starts per tensor (default 32;
+        ignored when ``starts`` is given), shift (default 0; negative
+        seeks minima), ``|delta lambda|`` threshold (default ``1e-10``)
+        and sweep cap (default 500).
+    starts, scheme, rng, dtype : explicit ``(V, n)`` starts shared by
+        every tensor, else ``scheme`` (``"random"``/``"fibonacci"``)
+        drawn from ``rng``; compute precision (default float64).
+    counter, config, telemetry : flop counter; a
+        :class:`~repro.core.config.SolveConfig` supplying any option not
+        passed; per-sweep telemetry (default: on when a recorder is).
     variant : batched kernel variant for the :class:`KernelPlan`
         (``"vectorized"``, ``"unrolled"``, ``"unrolled_cse"``,
         ``"blocked"``, their ``batched*`` aliases, or ``"auto"``).
@@ -225,12 +236,10 @@ def fleet_solve(
         ``stopped=True``.  Lanes that already retired are untouched, so
         a stopped run never corrupts or drops completed work.
 
-    Returns a :class:`~repro.core.results.FleetResult` whose ``(T, V)``
-    lane grid matches what per-tensor ``multistart_sshopm`` calls would
-    produce (up to dedup tolerance — lane schedules differ, fixed points
-    do not).
+    Returns a :class:`~repro.core.results.FleetResult` with the
+    ``(T, V)`` lane grid.  Lanes never interact, so a lane's result is
+    bit-identical however the starts are split across calls.
     """
-    max_iters = reconcile_max_iters(max_iters, None)
     # ``if adaptive:`` truthiness would silently give the string "geap"
     # the oscillation-escalation machinery — keep the two modes explicit
     if not (isinstance(adaptive, bool) or adaptive == "geap"):
@@ -269,6 +278,8 @@ def fleet_solve(
         raise ValueError(
             f"plan is for shape {(plan.m, plan.n)} but batch is {(m, n)}"
         )
+    if recorder is not None:
+        plan = instrumented_plan(plan, recorder)  # kernel spans + bytes
 
     _gauge("fleet.tensors", T)
     _gauge("fleet.starts", V)

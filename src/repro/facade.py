@@ -1,17 +1,16 @@
 """``repro.solve`` — one front door for every eigensolver in the package.
 
-The solvers grew up separately: :func:`~repro.core.sshopm.sshopm` for one
-tensor and one start, :func:`~repro.core.adaptive.adaptive_sshopm` for
-the self-tuning shift, :func:`~repro.core.multistart.multistart_sshopm`
-for the lockstep multistart, and the fleet engine
-(:func:`~repro.engine.fleet.fleet_solve`) for whole-workload scheduling.
+The solvers grew up separately: :func:`~repro.solvers.sshopm.sshopm` for
+one tensor and one start, :func:`~repro.solvers.adaptive.adaptive_sshopm`
+for the self-tuning shift, and the fleet engine
+(:func:`~repro.engine.fleet.fleet_solve`) for every multistart solve.
 Choosing among them is mechanical — it depends only on the *shape* of the
 request (one tensor or a batch? one start or many? fixed or adaptive
 shift? how many workers?) — so the facade makes the choice:
 
 >>> import repro
 >>> report = repro.solve(tensor)                      # one start: sshopm
->>> report = repro.solve(tensor, starts=64)           # multistart
+>>> report = repro.solve(tensor, starts=64)           # fleet, batch of one
 >>> report = repro.solve(batch, starts=32)            # fleet engine
 >>> report.result.eigenpairs(...)                     # ResultProtocol
 
@@ -93,9 +92,7 @@ class SolveRequest:
         if self.is_batch or self.num_starts > 1:
             if self.is_batch and self.workers > 1:
                 return "parallel_fleet_solve"
-            if self.is_batch:
-                return "fleet_solve"
-            return "multistart_sshopm"
+            return "fleet_solve"
         return "adaptive_sshopm" if self.adaptive else "sshopm"
 
 
@@ -154,7 +151,7 @@ def _fold_deadline(opts: dict, config: SolveConfig | None) -> dict:
     return opts
 
 
-# Options only the fleet/multistart drivers understand; uniform callers
+# Options only the fleet drivers understand; uniform callers
 # (the CLI passes its full flag set regardless of method) may hand them
 # to geap/qrst, where they have no meaning and are dropped.
 _FLEET_ONLY_OPTS = ("variant", "backend", "codegen_backend",
@@ -225,7 +222,7 @@ def solve(
     request shape               solver
     ==========================  =======================================
     tensor, one start           ``sshopm`` / ``adaptive_sshopm``
-    tensor, many starts         ``multistart_sshopm``
+    tensor, many starts         ``fleet_solve`` (a batch of one)
     batch (any starts)          ``fleet_solve``
     batch, ``workers > 1``      ``parallel_fleet_solve``
     ==========================  =======================================
@@ -338,30 +335,23 @@ def solve(
             from repro.solvers.sshopm import sshopm
 
             result = sshopm(problem, x0=x0, rng=rng, **common, **options)
-    elif solver == "multistart_sshopm":
-        from repro.core.multistart import multistart_sshopm
-
-        result = multistart_sshopm(
-            problem, num_starts=count, starts=explicit, rng=rng,
-            **common, **options,
-        )
     else:
-        batch = problem
+        # every multistart solve runs on the fleet; a single tensor with
+        # many starts runs as a batch of one
+        batch = (problem if request.is_batch
+                 else SymmetricTensorBatch.from_tensors([problem]))
         fleet_opts = dict(options)
         if request.method == "geap":
-            # GEAP rides the fleet lanes with per-sweep projected shifts;
-            # a multistart single tensor runs as a singleton batch
+            # GEAP rides the fleet lanes with per-sweep projected shifts
             if fleet_opts.pop("mode", "max") != "max":
                 raise ValueError(
                     "method='geap' with mode='min' is single-start only; "
                     "drop starts= or run per-start geap(mode='min') calls"
                 )
             adaptive = "geap"
-            if not request.is_batch:
-                batch = SymmetricTensorBatch.from_tensors([problem])
         # ``backend=`` is overloaded by history: codegen backend names
         # ("numpy"/"numba"/"cuda-src") select the compiler; anything else
-        # is the multistart spelling of variant= ("auto" included — it
+        # is the batched-variant spelling of variant= ("auto" included — it
         # predates the codegen axis and still means the variant race;
         # spell codegen racing as codegen_backend="auto" or a direct
         # fleet_solve(backend="auto") call).
@@ -379,9 +369,8 @@ def solve(
             from repro.parallel.fleet import parallel_fleet_solve
 
             kwargs = dict(
-                workers=workers, alpha=alpha or 0.0, tol=tol or 1e-10,
-                max_iters=max_iters or 500, starts=explicit, rng=rng,
-                config=config, adaptive=adaptive, **fleet_opts,
+                workers=workers, starts=explicit, rng=rng,
+                adaptive=adaptive, **common, **fleet_opts,
             )
             if count is not None and explicit is None:
                 kwargs["num_starts"] = count
@@ -399,11 +388,7 @@ def solve(
             for key in ("executor", "steal", "start_method"):
                 fleet_opts.pop(key, None)
             # the engine speaks stop= only; fold a deadline into the hook
-            deadline = fleet_opts.pop("deadline", None)
-            if deadline is None and config is not None:
-                deadline = config.deadline
-            if deadline is not None and "stop" not in fleet_opts:
-                fleet_opts["stop"] = lambda: time.time() >= deadline
+            _fold_deadline(fleet_opts, config)
             # the engine takes no events= keyword; the facade opens the
             # spool so engine-level events (retirements, compactions,
             # plan-cache traffic) still stream for single-shard runs

@@ -6,7 +6,7 @@ so threads whose SS-HOPM instance finished early idle in their lanes.  The
 paper's kernel therefore pays ``max`` (not ``mean``) iterations per warp.
 
 This module turns a measured per-(tensor, start) iteration matrix — e.g.
-from :func:`repro.core.multistart.multistart_sshopm` — into the per-block
+from :func:`repro.engine.fleet.fleet_solve` — into the per-block
 warp-accurate work the execution model should charge, plus the SIMT
 efficiency lost to convergence variance.  It closes the loop between the
 functional solver and the performance simulator: real convergence data in,

@@ -16,13 +16,14 @@ so legacy counters and traces observe the identical stream.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 from repro.instrument.recorder import current_recorder, span
-from repro.kernels.dispatch import KernelPair
+from repro.kernels.dispatch import BatchedKernelPair, KernelPair
 from repro.util.flopcount import FlopCounter
 
-__all__ = ["instrumented_pair", "kernel_cost_model"]
+__all__ = ["instrumented_pair", "instrumented_plan", "kernel_cost_model"]
 
 _FLOAT_BYTES = 8  # the per-tensor kernels run in float64
 
@@ -89,3 +90,22 @@ def instrumented_pair(
         return y
 
     return KernelPair(name=pair.name, ax_m=ax_m, ax_m1=ax_m1)
+
+
+def instrumented_plan(plan, recorder):
+    """A clone of the fleet kernel ``plan`` whose ``ax_m1`` calls open
+    ``kernel.<variant>.ax_m1`` spans (the batched kernels charge their own
+    flops there) and add every lane's :func:`kernel_cost_model` traffic to
+    ``recorder`` as ``bytes``.  The fleet never calls ``ax_m``."""
+    suite, name = plan.suite, f"kernel.{plan.suite.name}.ax_m1"
+    cost = kernel_cost_model(plan.m, plan.n)
+    per_lane = cost["loads"] + cost["stores_vector"]
+
+    def ax_m1(values, x, counter=None):
+        with span(name):
+            y = suite.ax_m1(values, x, counter=counter)
+            recorder.add("bytes", x.size // plan.n * per_lane * x.dtype.itemsize)
+        return y
+
+    return dataclasses.replace(
+        plan, suite=BatchedKernelPair(suite.name, suite.ax_m, ax_m1))

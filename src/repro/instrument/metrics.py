@@ -770,11 +770,11 @@ def observe_breaker_state(state: str) -> None:
 @contextmanager
 def use_registry(registry: MetricsRegistry | None = None):
     """Install ``registry`` (or a fresh one) as this thread's active
-    registry for the block — how the parallel executor isolates workers
+    registry for the block — how the thread fleet tier isolates workers
     before merging their snapshots back::
 
         with use_registry() as reg:
-            multistart_sshopm(batch, ...)
+            fleet_solve(batch, ...)
         default_registry().merge(reg)
     """
     reg = registry if registry is not None else MetricsRegistry()

@@ -226,7 +226,7 @@ class Recorder:
 
     def find(self, path: str) -> SpanNode | None:
         """Look up a span by ``/``-separated path, e.g.
-        ``"multistart_sshopm/sweep/kernel.vectorized.ax_m1"``."""
+        ``"fleet_solve/sweep"``."""
         node = self.root
         for part in path.split("/"):
             node = node.children.get(part)

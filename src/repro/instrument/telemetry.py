@@ -39,7 +39,7 @@ class ConvergenceTelemetry:
     Parameters
     ----------
     name : stream label (``"sshopm"``, ``"adaptive_sshopm"``,
-        ``"multistart_sshopm"``); namespaced on absorb like span trees.
+        ``"fleet_solve"``); namespaced on absorb like span trees.
     maxlen : record cap; reaching it halves resolution (stride doubles).
     meta : free-form context (tensor shape, start counts, ...).
     """

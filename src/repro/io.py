@@ -27,7 +27,7 @@ import zipfile
 
 import numpy as np
 
-from repro.core.multistart import MultistartResult
+from repro.core.results import FleetResult
 from repro.mri.phantom import Phantom
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
 
@@ -229,11 +229,13 @@ def load_phantom(path) -> Phantom:
         )
 
 
-def save_results(path, result: MultistartResult) -> None:
-    """Write a multistart solve result (eigenvalues/vectors per pair).
+def save_results(path, result: FleetResult) -> None:
+    """Write a multistart solve result (eigenvalues/vectors per lane).
 
-    The ``failed`` lane mask is stored when present; files written before
-    the mask existed load back with ``failed=None``.
+    The on-disk keys predate :class:`~repro.core.results.FleetResult`
+    (``total_sweeps`` holds ``sweeps``), so older files still load.  Files
+    written before the ``failed`` lane mask existed load back with an
+    all-``False`` mask.
     """
     arrays = dict(
         format=_FORMAT,
@@ -242,23 +244,24 @@ def save_results(path, result: MultistartResult) -> None:
         eigenvectors=result.eigenvectors,
         converged=result.converged,
         iterations=result.iterations,
-        total_sweeps=result.sweeps,  # stored key kept stable across the rename
+        total_sweeps=result.sweeps,
+        failed=result.failed,
     )
-    if result.failed is not None:
-        arrays["failed"] = result.failed
     _atomic_savez(path, **arrays)
 
 
-def load_results(path) -> MultistartResult:
+def load_results(path) -> FleetResult:
     # NaN eigenvalues are legitimate here (failed lanes are part of the
     # record), so results skip the non-finite rejection tensors get
     with _open_npz(path) as data:
         _check_format(data, "results", path)
-        return MultistartResult(
+        converged = _read(data, "converged", path)
+        return FleetResult(
             eigenvalues=_read(data, "eigenvalues", path),
             eigenvectors=_read(data, "eigenvectors", path),
-            converged=_read(data, "converged", path),
+            converged=converged,
             iterations=_read(data, "iterations", path),
             sweeps=int(_read(data, "total_sweeps", path)),
-            failed=data["failed"] if "failed" in data else None,
+            failed=(data["failed"] if "failed" in data
+                    else np.zeros_like(converged, dtype=bool)),
         )

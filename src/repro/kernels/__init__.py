@@ -6,18 +6,8 @@ All per-tensor *and* batched access goes through
 :func:`~repro.kernels.dispatch.get_kernels` (``batched=True`` returns the
 broadcasting array suite); all *code generation* goes through the
 emitter registry of :mod:`repro.kernels.codegen`
-(``emit(m, n, variant, target=...)``).  Two generations of historical
-flat imports remain importable from this package as *deprecated aliases*
-that emit :class:`DeprecationWarning`:
-
-* the batched entry points (``ax_m_batched``, ``ax_m1_batched``,
-  ``ax_m_blocked_batched``, ``ax_m1_blocked_batched``) — use
-  ``get_kernels(..., batched=True)``;
-* the direct generators (``make_unrolled``, ``generate_source``,
-  ``generate_cuda_kernel``) — use the codegen emitter registry.
+(``emit(m, n, variant, target=...)``).
 """
-
-import warnings as _warnings
 
 from repro.kernels.batched import monomials_batched
 from repro.kernels.blocked import (
@@ -75,98 +65,13 @@ from repro.kernels.tables import KernelTables, kernel_tables
 from repro.kernels.unrolled import UnrolledKernels
 
 
-def _batched_instead(module_name: str) -> str:
-    return (
-        "use get_kernels(variant, m, n, batched=True) or import it from "
-        f"{module_name}"
-    )
-
-
-# deprecated flat entry points -> (module, attribute, what to use instead)
-_DEPRECATED_ALIASES = {
-    "ax_m_batched": (
-        "repro.kernels.batched", "ax_m_batched",
-        _batched_instead("repro.kernels.batched"),
-    ),
-    "ax_m1_batched": (
-        "repro.kernels.batched", "ax_m1_batched",
-        _batched_instead("repro.kernels.batched"),
-    ),
-    "ax_m_blocked_batched": (
-        "repro.kernels.blocked_batched", "ax_m_blocked_batched",
-        _batched_instead("repro.kernels.blocked_batched"),
-    ),
-    "ax_m1_blocked_batched": (
-        "repro.kernels.blocked_batched", "ax_m1_blocked_batched",
-        _batched_instead("repro.kernels.blocked_batched"),
-    ),
-    "make_unrolled": (
-        "repro.kernels.unrolled", "_make_unrolled",
-        "use repro.kernels.codegen.emit(m, n, variant, target='numpy') "
-        "(the emitter registry)",
-    ),
-    "generate_source": (
-        "repro.kernels.unrolled", "_generate_source",
-        "use repro.kernels.codegen.emit(...).source via the emitter registry",
-    ),
-    "generate_cuda_kernel": (
-        "repro.kernels.cudagen", "_generate_cuda_kernel",
-        "use repro.kernels.codegen.emit(m, n, variant, target='cuda-src', "
-        "num_starts=V).source (the emitter registry)",
-    ),
-}
-
-
-def _alias_stacklevel() -> int:
-    """Stacklevel pointing at the user's code, not import machinery.
-
-    For ``from repro.kernels import ax_m_batched`` the caller of
-    ``__getattr__`` is ``importlib._bootstrap._handle_fromlist``, so a
-    fixed ``stacklevel=2`` attributes the warning to frozen importlib.
-    Walk outward past any importlib frames to find the real import site.
-    """
-    import sys
-
-    level = 2  # frame 1 is __getattr__ itself
-    while True:
-        try:
-            frame = sys._getframe(level - 1)
-        except ValueError:
-            return 2  # stack exhausted; fall back to the direct caller
-        modname = frame.f_globals.get("__name__", "")
-        filename = frame.f_code.co_filename
-        if not (modname.startswith("importlib")
-                or filename.startswith("<frozen importlib")):
-            return level
-        level += 1
-
-
-def __getattr__(name):
-    alias = _DEPRECATED_ALIASES.get(name)
-    if alias is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr, instead = alias
-    _warnings.warn(
-        f"importing {name!r} from repro.kernels is deprecated; {instead}",
-        DeprecationWarning,
-        stacklevel=_alias_stacklevel(),
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
 __all__ = [
-    "ax_m1_batched",
-    "ax_m_batched",
     "monomials_batched",
     "BlockingPlan",
     "ax_m1_blocked",
     "ax_m_blocked",
     "block_shapes",
     "blocking_plan",
-    "ax_m1_blocked_batched",
-    "ax_m_blocked_batched",
     "ax_m1_compressed",
     "ax_m_compressed",
     "symmetric_flops_scalar",
@@ -187,7 +92,6 @@ __all__ = [
     "register_emitter",
     "compiler_available",
     "emulate_cuda_sshopm",
-    "generate_cuda_kernel",
     "generate_cuda_module",
     "generate_host_launcher",
     "BatchedKernelPair",
@@ -212,6 +116,4 @@ __all__ = [
     "KernelTables",
     "kernel_tables",
     "UnrolledKernels",
-    "generate_source",
-    "make_unrolled",
 ]

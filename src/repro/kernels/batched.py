@@ -10,8 +10,8 @@ reduction for the vector kernel).
 
 Conventions: ``values`` has shape ``(..., U)`` (unique entries last), ``x``
 has shape ``(..., n)``; leading dimensions broadcast against each other.
-The SS-HOPM multistart driver calls these with ``values[T, 1, U]`` against
-``x[T, V, n]``.
+The fleet engine calls them with one row per lane: ``values[A, U]``
+against ``x[A, n]``.
 """
 
 from __future__ import annotations
@@ -152,9 +152,3 @@ def _resolve_tables(values: np.ndarray, x: np.ndarray,
             n=tables.n,
         )
     return tables
-
-
-def _infer_tables(values: np.ndarray, x: np.ndarray, tables) -> KernelTables:
-    """Backward-compatible spelling of table inference (pre-1.2 internal
-    helper some downstream code imports); defers to :func:`infer_shape`."""
-    return kernel_tables(*infer_shape(values, x))

@@ -6,14 +6,14 @@ decomposition (general ``(m, n)`` — Section VI future work) and the
 the GPU mapping).  Each block becomes one ``einsum`` contracting the
 gathered values (shape ``(..., U_1, ..., U_r)``) against per-chunk monomial
 arrays (shape ``(..., U_j)``), with leading dimensions broadcasting exactly
-like the flat batched kernels: the multistart driver passes
-``values[T, 1, U]`` against ``x[T, V, n]``.
+like the flat batched kernels: the fleet engine passes one row per
+lane, ``values[A, U]`` against ``x[A, n]``.
 
 Per-chunk weights and Jacobians are computed once per call and shared by
 every block touching that chunk — the analog of the paper's table sharing
-across thread blocks.  This makes lockstep multistart SS-HOPM practical
-for tensor sizes far past the unrollable regime
-(``backend="blocked"`` in :func:`repro.core.multistart.multistart_sshopm`).
+across thread blocks.  This makes multistart SS-HOPM practical for tensor
+sizes far past the unrollable regime
+(``variant="blocked"`` in :func:`repro.engine.fleet.fleet_solve`).
 """
 
 from __future__ import annotations

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.kernels._deprecation import warn_deprecated
 from repro.kernels.tables import kernel_tables
 from repro.util.combinatorics import num_unique_entries
 
-# ``generate_cuda_kernel`` is a deprecated import path (use the
-# ``cuda-src`` emitter of :mod:`repro.kernels.codegen`); the module
-# ``__getattr__`` below keeps it working with a caller-blaming warning.
-__all__ = ["generate_cuda_kernel", "generate_host_launcher", "generate_cuda_module"]
+# the per-variant kernel generator is private: use the ``cuda-src``
+# emitter of :mod:`repro.kernels.codegen`
+__all__ = ["generate_host_launcher", "generate_cuda_module"]
 
 
 def _c_monomial(factors, prefix: str = "x") -> str:
@@ -252,13 +250,3 @@ def generate_cuda_module(m: int = 4, n: int = 3, num_starts: int = 128) -> str:
         ]
     )
 
-
-def __getattr__(name):
-    if name != "generate_cuda_kernel":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warn_deprecated(
-        "importing 'generate_cuda_kernel' from repro.kernels.cudagen",
-        "use repro.kernels.codegen.emit(m, n, variant, target='cuda-src', "
-        "num_starts=V).source (the emitter registry)",
-    )
-    return _generate_cuda_kernel

@@ -10,10 +10,8 @@ without special-casing.  Both access shapes go through :func:`get_kernels`:
 * ``get_kernels(variant, m, n, batched=True)`` — a
   :class:`BatchedKernelPair` operating on raw value/vector arrays with
   broadcasting leading dimensions (``ax_m(values, x) -> ndarray``), the
-  shape the lockstep multistart driver feeds (``values[T, 1, U]`` against
-  ``x[T, V, n]``).  Callers no longer import ``ax_m_batched`` /
-  ``ax_m_blocked_batched`` directly (those names survive as deprecated
-  aliases in :mod:`repro.kernels`).
+  shape a ``(T, V)`` lane grid feeds (``values[T, 1, U]`` against
+  ``x[T, V, n]``).
 
 Unknown names raise :class:`UnknownVariantError` — a subclass of both
 ``KeyError`` and ``ValueError`` so pre-existing handlers of either keep

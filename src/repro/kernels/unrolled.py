@@ -7,7 +7,7 @@ compiler sees straight-line arithmetic.  "This is possible for small
 problems" — for ``m=4, n=3`` the scalar kernel is a 15-term sum and each of
 the 3 vector-kernel entries a 10-term sum.
 
-This module is the Python analog: :func:`make_unrolled` *generates source
+This module is the Python analog: :func:`_make_unrolled` *generates source
 code* for the two kernels specialized to ``(m, n)``, compiles it with
 ``exec``, and returns the callables together with their exact flop counts
 (known at generation time, exactly as the paper's static analysis).  Two
@@ -32,13 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.kernels._deprecation import warn_deprecated
 from repro.kernels.tables import kernel_tables
 
-# ``make_unrolled`` / ``generate_source`` are deprecated import paths (use
-# the :mod:`repro.kernels.codegen` emitter registry); the module
-# ``__getattr__`` below keeps them working with a caller-blaming warning.
-__all__ = ["UnrolledKernels", "make_unrolled", "generate_source"]
+# the generators are private: use the :mod:`repro.kernels.codegen`
+# emitter registry (``emit(m, n, variant, target="numpy")``)
+__all__ = ["UnrolledKernels"]
 
 
 @dataclass(frozen=True)
@@ -243,25 +241,3 @@ def _make_unrolled(m: int, n: int, cse: bool = False, batched: bool = False) -> 
         flops_vector=flops_vector,
     )
 
-
-# deprecated public names -> (implementation, what to use instead)
-_DEPRECATED = {
-    "make_unrolled": (
-        _make_unrolled,
-        "use repro.kernels.codegen.emit(m, n, variant, target='numpy') "
-        "(the emitter registry)",
-    ),
-    "generate_source": (
-        _generate_source,
-        "use repro.kernels.codegen.emit(...).source via the emitter registry",
-    ),
-}
-
-
-def __getattr__(name):
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    impl, instead = entry
-    warn_deprecated(f"importing {name!r} from repro.kernels.unrolled", instead)
-    return impl

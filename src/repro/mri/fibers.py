@@ -2,8 +2,9 @@
 
 Per voxel: the principal nerve fiber directions are the local maxima of the
 diffusion profile ``D(g) = A g^m`` on the sphere, i.e. the positive-stable
-eigenpairs of ``A`` — found by multistart SS-HOPM with a nonnegative shift
-("to find local maxima, a nonnegative shift must be used", Section V-A).
+eigenpairs of ``A`` — found by multistart SS-HOPM on the fleet engine with
+a nonnegative shift ("to find local maxima, a nonnegative shift must be
+used", Section V-A).
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters
+from repro.core.config import SolveConfig
 from repro.core.eigenpairs import classify_eigenpair, dedupe_eigenpairs
-from repro.core.multistart import multistart_sshopm
 from repro.instrument import gauge as _gauge
 from repro.instrument import span as _span
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
@@ -97,8 +97,6 @@ def extract_fibers(
     max_iters: int | None = None,
     rng=None,
     config: SolveConfig | None = None,
-    *,
-    max_iter: int | None = None,
 ) -> VoxelFibers:
     """Fiber directions of a single voxel tensor.
 
@@ -106,14 +104,14 @@ def extract_fibers(
     synthetic set.  ``rel_threshold`` discards spurious shallow maxima whose
     ADC is below that fraction of the principal one; ``min_occurrences``
     discards maxima reached by fewer than that many starting vectors.
-    ``max_iters`` defaults to 500 (``max_iter=`` is the deprecated
-    spelling).
+    ``max_iters`` defaults to 500.
     """
+    from repro.engine.fleet import fleet_solve
+
     if alpha < 0:
         raise ValueError("fiber extraction needs a nonnegative shift (local maxima)")
-    max_iters = reconcile_max_iters(max_iters, max_iter)
     with _span("extract_fibers"):
-        result = multistart_sshopm(
+        result = fleet_solve(
             tensor,
             num_starts=num_starts,
             alpha=alpha,
@@ -144,24 +142,23 @@ def extract_fibers_batch(
     max_iters: int | None = None,
     rng=None,
     config: SolveConfig | None = None,
-    *,
-    max_iter: int | None = None,
 ) -> list[VoxelFibers]:
-    """Fiber directions for every voxel of a batch (one lockstep multistart
-    run for the whole grid — the GPU-shaped computation).
+    """Fiber directions for every voxel of a batch (one fleet run for the
+    whole grid — the GPU-shaped computation).
 
     With a recorder active (:mod:`repro.instrument`) the pipeline stages
-    appear as aggregated spans: one ``multistart_sshopm`` subtree for the
-    lockstep solve, then per-voxel ``select_fibers`` / ``dedupe`` /
-    ``classify`` spans whose ``count`` is the voxel count.
+    appear as aggregated spans: one ``fleet_solve`` subtree for the
+    solve, then per-voxel ``select_fibers`` / ``dedupe`` / ``classify``
+    spans whose ``count`` is the voxel count.
     """
+    from repro.engine.fleet import fleet_solve
+
     if alpha < 0:
         raise ValueError("fiber extraction needs a nonnegative shift (local maxima)")
-    max_iters = reconcile_max_iters(max_iters, max_iter)
     _gauge("fibers.voxels", len(tensors))
     _gauge("fibers.starts", num_starts)
     with _span("extract_fibers_batch"):
-        result = multistart_sshopm(
+        result = fleet_solve(
             tensors,
             num_starts=num_starts,
             alpha=alpha,

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import SolveConfig, resolve_option
-from repro.core.multistart import starting_vectors
 from repro.core.results import FleetResult
 from repro.instrument import Recorder, current_recorder
 from repro.instrument import span as _span
@@ -64,6 +63,7 @@ from repro.instrument.metrics import MetricsRegistry, get_registry, use_registry
 from repro.parallel.comm import EXECUTORS, choose_executor, estimate_fleet_comm
 from repro.parallel.partition import cost_weighted_partition
 from repro.symtensor.storage import SymmetricTensorBatch
+from repro.util.rng import starting_vectors
 
 __all__ = [
     "STEAL_IMBALANCE_THRESHOLD",
@@ -93,8 +93,8 @@ class FleetRunReport:
     ``shard_seconds`` the per-shard wall times (their spread is the load
     imbalance the partition could not avoid — see :meth:`imbalance`).
     ``executor`` is the tier that actually ran (``"auto"`` resolves
-    before execution); ``requeues``/``failed_shards`` mirror the hardened
-    thread executor's crash accounting for the process tier.
+    before execution); ``requeues``/``failed_shards`` are the process
+    tier's crash accounting (a requeued shard, a written-off shard).
     ``workers_traced`` counts the worker span subtrees stitched into the
     caller's trace (0 when tracing was off or the run was a degenerate
     single shard; for the process tier a worker SIGKILLed before sending
@@ -174,14 +174,14 @@ def _stitch_worker_traces(parent: Recorder, traces: dict,
 def parallel_fleet_solve(
     tensors: SymmetricTensorBatch,
     workers: int = 1,
-    num_starts: int = 32,
-    alpha: float = 0.0,
-    tol: float = 1e-10,
-    max_iters: int = 500,
+    num_starts: int | None = None,
+    alpha: float | None = None,
+    tol: float | None = None,
+    max_iters: int | None = None,
     starts: np.ndarray | None = None,
-    scheme: str = "random",
-    variant: str = "vectorized",
-    dtype=np.float64,
+    scheme: str | None = None,
+    variant: str | None = None,
+    dtype=None,
     rng=None,
     config: SolveConfig | None = None,
     *,
@@ -200,9 +200,10 @@ def parallel_fleet_solve(
 ) -> FleetRunReport:
     """Shard ``tensors`` over ``workers``, one fleet per shard.
 
-    Parameters are those of :func:`repro.engine.fleet.fleet_solve`; every
-    shard shares one starting-vector set, so the merged ``(T, V)`` result
-    is bit-for-bit a single-worker fleet run with the same starts (shard
+    Parameters are those of :func:`repro.engine.fleet.fleet_solve`, with
+    the same defaults and the same ``config`` resolution; every shard
+    shares one starting-vector set, so the merged ``(T, V)`` result is
+    bit-for-bit a single-worker fleet run with the same starts (shard
     boundaries change lane scheduling, not arithmetic).  The tier-specific
     ones:
 
@@ -217,8 +218,7 @@ def parallel_fleet_solve(
     start_method : multiprocessing start method for the process tier
         (default: ``fork`` where available).
     max_requeues / faults : crash budget and chaos injection for the
-        process tier (``faults`` maps shard id → ``"crash"``/``"kill"``),
-        mirroring the hardened thread executor.
+        process tier (``faults`` maps shard id → ``"crash"``/``"kill"``).
     events : path of a per-run JSONL event spool
         (:mod:`repro.instrument.events`; also settable via
         ``SolveConfig.events``).  Ignored when a spool is already active
@@ -239,6 +239,13 @@ def parallel_fleet_solve(
     """
     from repro.engine.fleet import fleet_solve
 
+    num_starts = resolve_option("num_starts", num_starts, config, 32)
+    alpha = resolve_option("alpha", alpha, config, 0.0)
+    tol = resolve_option("tol", tol, config, 1e-10)
+    max_iters = resolve_option("max_iters", max_iters, config, 500)
+    scheme = resolve_option("scheme", scheme, config, "random")
+    dtype = resolve_option("dtype", dtype, config, np.float64)
+    rng = resolve_option("rng", rng, config, None)
     deadline = resolve_option("deadline", deadline, config, None)
     if deadline is not None:
         user_stop = stop
@@ -263,6 +270,7 @@ def parallel_fleet_solve(
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}")
     if starts is None:
+        # explicit starts pass through: fleet_solve validates them
         starts = starting_vectors(num_starts, tensors.n, scheme=scheme,
                                   rng=rng, dtype=dtype)
 
@@ -295,18 +303,21 @@ def parallel_fleet_solve(
                     EventSpool.open(events_path, src="parent"))
                 _stack.enter_context(use_spool(spool))
 
+        def solve(shard):
+            # one fleet per shard, every shard on the same starts and options
+            return fleet_solve(
+                shard, alpha=alpha, tol=tol, max_iters=max_iters,
+                starts=starts, variant=variant, backend=backend, dtype=dtype,
+                config=config, adaptive=adaptive, compact_every=compact_every,
+                guards=guards, stop=stop,
+            )
+
         if workers == 1 or T == 1:
             # degenerate single shard: run inline, skip any pool
             _emit("run_start", tensors=T, lanes=T * V, workers=1, shards=1,
                   executor="inline", ranges=[[0, T]])
             _emit("shard_start", shard=0, lo=0, hi=T)
-            res = fleet_solve(
-                tensors, alpha=alpha, tol=tol, max_iters=max_iters,
-                starts=starts, variant=variant, backend=backend, dtype=dtype,
-                config=config,
-                adaptive=adaptive, compact_every=compact_every, guards=guards,
-                stop=stop,
-            )
+            res = solve(tensors)
             elapsed = time.perf_counter() - t0
             _emit("shard_finish", shard=0, seconds=elapsed, sweeps=res.sweeps)
             _emit("run_finish", seconds=elapsed, requeues=0, failed=0)
@@ -339,29 +350,11 @@ def parallel_fleet_solve(
             ts = time.perf_counter()
             with use_registry(worker_reg), use_spool(worker_spool):
                 _emit("shard_start", shard=wid, lo=r.start, hi=r.stop)
-
-                def run():
-                    return fleet_solve(
-                        shard,
-                        alpha=alpha,
-                        tol=tol,
-                        max_iters=max_iters,
-                        starts=starts,
-                        variant=variant,
-                        backend=backend,
-                        dtype=dtype,
-                        config=config,
-                        adaptive=adaptive,
-                        compact_every=compact_every,
-                        guards=guards,
-                        stop=stop,
-                    )
-
                 if worker_rec is not None:
                     with worker_rec.activate():
-                        res = run()
+                        res = solve(shard)
                 else:
-                    res = run()
+                    res = solve(shard)
                 seconds = time.perf_counter() - ts
                 _emit("shard_finish", shard=wid, seconds=seconds,
                       sweeps=res.sweeps)

@@ -332,8 +332,7 @@ def process_fleet_solve(
         task_q.put(payload)
 
     def write_off(sid: int) -> None:
-        # placeholder rows, same contract as the thread executor's
-        # ChunkFailure path: NaN values, failed mask set, never dropped
+        # placeholder rows: NaN values, failed mask set, never dropped
         lo, hi = state[sid]["range"]
         a = block.arrays
         a["eigenvalues"][lo:hi] = np.nan

@@ -14,7 +14,7 @@ package turns each of those into a structured, recoverable event:
   (``repro ckpt gc``; ``repro serve --keep N``) so resume loops don't
   grow the checkpoint directory unboundedly;
 * :mod:`~repro.resilience.runner` — :func:`resilient_multistart`, the
-  durable sweep driver tying the above together;
+  durable sweep driver tying the above together on the fleet engine;
 * :mod:`~repro.resilience.faults` — deterministic fault injection for
   the chaos suite (``tests/test_chaos.py``).
 
@@ -52,9 +52,10 @@ from repro.resilience.retry import (
     escalate_shift,
     run_with_retry,
 )
-# Runner symbols are re-exported lazily: runner imports repro.core.sshopm,
-# which itself imports repro.resilience.guards — an eager import here would
-# close that cycle while repro.core.sshopm is still half-initialized.
+# Runner symbols are re-exported lazily: the runner imports the fleet
+# engine and the solvers, which themselves import repro.resilience.guards —
+# an eager import here would close that cycle while they are still
+# half-initialized.
 _RUNNER_EXPORTS = ("ResilientSweepResult", "StartReport", "resilient_multistart")
 
 

@@ -6,10 +6,11 @@ degradations against a sweep:
 
 * **NaN kernel payloads** — a kernel application returns NaN for chosen
   (start, attempt) pairs, exactly what an out-of-range shift or a device
-  memory fault produces; the numerical guards must catch it.
-* **worker crashes** — a task raises :class:`InjectedWorkerCrash` the
-  first ``k`` times it is scheduled; the hardened executor must requeue
-  the work on a surviving worker.
+  memory fault produces; the fleet must retire the lane as failed and the
+  runner must retry it.
+* **worker crashes** — a start raises :class:`InjectedWorkerCrash` the
+  first ``k`` times it is admitted to a fleet chunk; the runner must
+  requeue it.
 * **corrupted tensor entries** — seeded NaN corruption of a start's view
   of the tensor (all attempts — an unrecoverable input fault); the sweep
   must report the start as failed instead of poisoning the rest.
@@ -22,13 +23,13 @@ via ``REPRO_CHAOS_SEED``).
 
 from __future__ import annotations
 
-import threading
+import dataclasses
 import time
 from typing import Mapping
 
 import numpy as np
 
-from repro.kernels.dispatch import KernelPair
+from repro.kernels.dispatch import BatchedKernelPair, KernelPair
 from repro.symtensor.storage import SymmetricTensor
 from repro.util.rng import spawn_rng
 
@@ -86,9 +87,9 @@ class FaultPlan:
     nan_kernel : mapping ``start -> iterable of attempt indices`` whose
         kernel outputs are replaced by NaN (e.g. ``{3: (0,)}`` breaks
         start 3's first attempt only — the retry must recover it).
-    crashes : mapping ``start -> number of executions to kill`` (each
-        scheduled execution raises :class:`InjectedWorkerCrash` until the
-        budget is spent — the requeue path must recover it).
+    crashes : mapping ``start -> number of admissions to kill`` (each
+        admission raises :class:`InjectedWorkerCrash` until the budget is
+        spent — the requeue path must recover it).
     corrupt : mapping ``start -> number of tensor entries to NaN`` for
         that start's view of the tensor, every attempt (unrecoverable).
     slow : mapping ``start -> seconds`` of injected sleep per execution.
@@ -112,26 +113,22 @@ class FaultPlan:
         self.corrupt = {int(s): int(k) for s, k in (corrupt or {}).items()}
         self.slow = {int(s): float(sec) for s, sec in (slow or {}).items()}
         self._crash_counts: dict[int, int] = {}
-        self._lock = threading.Lock()
 
-    # -- hooks the runner / executor call ------------------------------------
+    # -- hooks the runner calls ---------------------------------------------
 
     def on_task_start(self, start: int) -> None:
-        """Called once per scheduled execution of ``start``: applies the
-        slow-task delay, then the crash budget (thread-safe)."""
+        """Called once per admission of ``start`` to a fleet chunk: applies
+        the slow-task delay, then the crash budget."""
         delay = self.slow.get(start, 0.0)
         if delay > 0:
             time.sleep(delay)
-        budget = self.crashes.get(start, 0)
-        if budget:
-            with self._lock:
-                used = self._crash_counts.get(start, 0)
-                if used < budget:
-                    self._crash_counts[start] = used + 1
-                    raise InjectedWorkerCrash(
-                        f"injected worker crash for start {start} "
-                        f"({used + 1}/{budget})"
-                    )
+        used = self._crash_counts.get(start, 0)
+        if used < self.crashes.get(start, 0):
+            self._crash_counts[start] = used + 1
+            raise InjectedWorkerCrash(
+                f"injected worker crash for start {start} "
+                f"({used + 1}/{self.crashes[start]})"
+            )
 
     def tensor_for(self, start: int, tensor: SymmetricTensor) -> SymmetricTensor:
         """The tensor this start should see (corrupted copy when scheduled)."""
@@ -140,27 +137,18 @@ class FaultPlan:
             return tensor
         return corrupt_tensor(tensor, entries, spawn_rng(self.seed, start))
 
-    def wrap_kernels(self, start: int, attempt: int,
-                     pair: KernelPair) -> KernelPair:
-        """NaN-injecting clone of ``pair`` when (start, attempt) is
-        scheduled, else ``pair`` unchanged."""
-        if attempt in self.nan_kernel.get(start, frozenset()):
-            return nan_injecting_pair(pair)
-        return pair
+    def wrap_plan(self, start: int, attempt: int, plan):
+        """NaN-injecting clone of the fleet kernel ``plan`` when
+        (start, attempt) is scheduled, else ``plan`` unchanged."""
+        if attempt not in self.nan_kernel.get(start, frozenset()):
+            return plan
+        suite = plan.suite
 
-    def executor_hook(self, crash_chunks: Mapping[int, int] | None = None):
-        """A ``(chunk_index, attempt) -> None`` callable for the parallel
-        executor's ``inject=`` parameter: raises
-        :class:`InjectedWorkerCrash` for each chunk until its budget is
-        spent.  ``crash_chunks`` defaults to this plan's ``crashes``
-        mapping reinterpreted over chunk indices."""
-        budgets = dict(crash_chunks if crash_chunks is not None else self.crashes)
+        def ax_m(values, x, counter=None):
+            return np.full_like(np.asarray(suite.ax_m(values, x, counter=counter)), np.nan)
 
-        def inject(chunk_index: int, attempt: int) -> None:
-            if budgets.get(chunk_index, 0) > attempt:
-                raise InjectedWorkerCrash(
-                    f"injected crash for chunk {chunk_index} "
-                    f"(attempt {attempt})"
-                )
+        def ax_m1(values, x, counter=None):
+            return np.full_like(np.asarray(suite.ax_m1(values, x, counter=counter)), np.nan)
 
-        return inject
+        return dataclasses.replace(
+            plan, suite=BatchedKernelPair(f"{suite.name}+nan", ax_m, ax_m1))

@@ -15,10 +15,10 @@ stream, so the retry layer (:mod:`repro.resilience.retry`) can decide
 what to do and the operator can see what happened.
 
 Guards are **opt-in**: pass ``guards=True`` (or a :class:`GuardConfig`)
-to ``sshopm`` / ``adaptive_sshopm`` / ``multistart_sshopm``, or set the
+to ``sshopm`` / ``adaptive_sshopm`` / ``fleet_solve``, or set the
 ``guards`` field of :class:`~repro.core.config.SolveConfig`.  The
-resilient sweep driver (:mod:`repro.resilience.runner`) enables them by
-default.
+resilient sweep driver (:mod:`repro.resilience.runner`) always treats a
+lane that dies numerically as a failed attempt to retry.
 """
 
 from __future__ import annotations
@@ -255,8 +255,7 @@ class LaneGuard:
     *never* poison the batch — the lane is retired, counted, and the
     sweep continues.  The guard therefore only raises when nothing is
     left to save: every lane died, so the whole solve produced no usable
-    output (the same total-collapse semantics as
-    :func:`~repro.core.multistart.multistart_sshopm`).
+    output.
 
     Lane deaths are always tracked and counted on the
     ``repro_fleet_lanes_retired_total{reason="failed"}`` metric; the

@@ -2,7 +2,7 @@
 
 A start that trips a numerical guard is usually recoverable: SS-HOPM is
 guaranteed to converge once the shift exceeds the conservative bound
-(:func:`~repro.core.sshopm.suggested_shift`), and a fresh starting
+(:func:`~repro.solvers.sshopm.suggested_shift`), and a fresh starting
 vector escapes degenerate basins.  :func:`run_with_retry` re-runs a
 failed attempt with an escalated shift and (optionally) a fresh start
 vector, up to a bounded attempt budget, sleeping an exponentially
@@ -110,7 +110,7 @@ def escalate_shift(alpha: float, attempt: int, safe_shift: float | None = None) 
     beyond the provably convergent value.
 
     Attempt 0 uses ``alpha`` unchanged.  Retries jump to at least
-    ``safe_shift`` (pass :func:`~repro.core.sshopm.suggested_shift` of
+    ``safe_shift`` (pass :func:`~repro.solvers.sshopm.suggested_shift` of
     the tensor; defaults to 1.0) and grow by ``3**k`` from there,
     preserving the sign of ``alpha`` (a negative shift seeks minima; its
     escalation stays concave).

@@ -1,41 +1,43 @@
-"""Fault-tolerant per-start multistart sweeps with checkpoint/resume.
+"""Fault-tolerant multistart sweeps with checkpoint/resume, on the fleet.
 
-The lockstep driver (:func:`~repro.core.multistart.multistart_sshopm`)
-is the fast path; this module is the *durable* path for long sweeps: it
-runs each starting vector as an independent task so that
+:func:`resilient_multistart` is the *durable* way to sweep one tensor.
+Its starts are solved in chunks of ``checkpoint_every``: each chunk is one
+:func:`~repro.engine.fleet.fleet_solve` call, followed by retry passes
+that re-run the chunk's failed or unconverged lanes at an escalated shift
+(Kolda & Mayo's shift escalation toward the convergent bound, arXiv
+1007.1267), so that
 
-* a start that trips a numerical guard is retried with an escalated
-  shift and a fresh vector (:mod:`repro.resilience.retry`);
-* a start whose worker task crashes is requeued on a surviving worker,
-  up to a bounded budget, with a degraded-mode warning;
+* attempt ``a`` of start ``s`` starts from the vector drawn from
+  ``spawn_rng(seed, s, a)``, runs at
+  ``escalate_shift(alpha, a, suggested_shift(tensor))``, and gets an
+  iteration budget scaled with the shift (:mod:`repro.resilience.retry`);
+* a start whose admission crashes (or whose fleet call raises) is
+  requeued, up to a bounded budget, with a degraded-mode warning;
 * an unrecoverable start is *reported* (``failed_starts``) instead of
   poisoning the sweep;
-* completed starts are periodically checkpointed
-  (:mod:`repro.resilience.checkpoint`) and a resumed sweep reproduces
-  the uninterrupted one bit-for-bit.
+* a checkpoint (:mod:`repro.resilience.checkpoint`) is written after every
+  chunk, and a resumed sweep reproduces the uninterrupted one
+  bit-for-bit.
 
-Determinism across worker counts and resume points comes from deriving
-every random draw from ``SeedSequence`` spawn keys
-(:func:`repro.util.rng.spawn_rng`): attempt ``a`` of start ``i`` always
-sees the stream ``spawn_rng(seed, i, a)``, no matter which thread runs
-it or how many siblings ran first.
+Determinism across chunk sizes and resume points holds because fleet
+lanes never interact: a lane's result depends only on its start vector,
+shift and budget, never on which other lanes shared its fleet call.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import SolveConfig, resolve_option
 from repro.core.eigenpairs import Eigenpair, dedupe_eigenpairs
-from repro.solvers.sshopm import sshopm, suggested_shift
+from repro.engine.fleet import fleet_solve
 from repro.instrument import span as _span
 from repro.instrument.log import get_logger
-from repro.instrument.metrics import MetricsRegistry, get_registry, use_registry
-from repro.kernels.dispatch import KernelPair, get_kernels
+from repro.instrument.metrics import get_registry
+from repro.kernels.plan import get_plan
 from repro.resilience.checkpoint import (
     check_resumable,
     new_checkpoint,
@@ -44,18 +46,14 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
 )
 from repro.resilience.faults import FaultPlan
-from repro.resilience.guards import GuardConfig, SolveFailure, resolve_guards
-from repro.resilience.retry import RetryPolicy, escalate_shift, run_with_retry
+from repro.resilience.retry import RetryPolicy, _record_attempt, escalate_shift
+from repro.solvers.sshopm import suggested_shift
 from repro.symtensor.storage import SymmetricTensor
 from repro.util.rng import random_unit_vector, spawn_rng
 
 __all__ = ["ResilientSweepResult", "StartReport", "resilient_multistart"]
 
 _log = get_logger("resilience.runner")
-
-# spawn-key namespace for the retry-backoff jitter stream, disjoint from
-# the attempt-index keys (which are < RetryPolicy.max_attempts)
-_JITTER_KEY = 1 << 20
 
 
 @dataclass
@@ -174,22 +172,6 @@ class ResilientSweepResult:
         return "\n".join(lines)
 
 
-def _crash_report(start: int, n: int, exc: BaseException,
-                  requeues: int) -> StartReport:
-    return StartReport(
-        index=start,
-        eigenvalue=float("nan"),
-        eigenvector=np.zeros(n),
-        converged=False,
-        iterations=0,
-        residual=float("nan"),
-        attempts=0,
-        alpha=float("nan"),
-        requeues=requeues,
-        error=f"crash: {type(exc).__name__}: {exc}",
-    )
-
-
 def resilient_multistart(
     tensor: SymmetricTensor,
     num_starts: int | None = None,
@@ -197,10 +179,7 @@ def resilient_multistart(
     tol: float | None = None,
     max_iters: int | None = None,
     seed: int = 0,
-    workers: int = 1,
-    kernels: KernelPair | str | None = None,
     retry: RetryPolicy | None = None,
-    guards: GuardConfig | bool | None = True,
     checkpoint: str | None = None,
     checkpoint_every: int = 8,
     resume: bool = False,
@@ -209,30 +188,33 @@ def resilient_multistart(
     config: SolveConfig | None = None,
     checkpoint_source: dict | None = None,
 ) -> ResilientSweepResult:
-    """Run ``num_starts`` independent SS-HOPM starts, surviving partial
-    failure.
+    """Run ``num_starts`` SS-HOPM starts on the fleet engine, surviving
+    partial failure.
 
     Parameters
     ----------
     tensor : the symmetric tensor to sweep.
     num_starts : starting vectors (default 64).
-    alpha, tol, max_iters : per-start SS-HOPM options (defaults 0.0 /
-        1e-12 / 500; ``config`` supplies any not passed).
-    seed : root seed; every attempt's randomness is
-        ``spawn_rng(seed, start, attempt)``, making results independent
-        of ``workers`` and of resume points.
-    workers : worker threads running starts concurrently.
-    retry : per-start :class:`~repro.resilience.retry.RetryPolicy`
-        (default: 3 attempts, shift escalation, no sleeping).
-    guards : numerical guards for each attempt (default on — this is the
-        resilient driver).
-    checkpoint : path for periodic ``repro-ckpt/1`` checkpoints
-        (``None`` disables checkpointing).
-    checkpoint_every : write after this many newly completed starts.
+    alpha, tol, max_iters : SS-HOPM options of each start's first attempt
+        (defaults 0.0 / 1e-12 / 500; ``config`` supplies any not passed).
+    seed : root seed; attempt ``a`` of start ``s`` starts from
+        ``spawn_rng(seed, s, a)``, making results independent of
+        ``checkpoint_every`` and of resume points.
+    retry : :class:`~repro.resilience.retry.RetryPolicy` (default: 3
+        attempts, shift escalation).  A lane that died numerically
+        (``"nonfinite"``/``"collapse"``) or ran out of iterations short of
+        ``tol`` (``"stall"``) is re-run at the next attempt when that
+        reason is in ``retry_on``, and otherwise reported with it as its
+        ``error``; ``fresh_start=False`` reuses attempt 0's vector.
+        Retry passes are deterministic recomputation and never sleep, so
+        the policy's backoff fields do not apply here.
+    checkpoint : path for ``repro-ckpt/1`` checkpoints, written after
+        every chunk (``None`` disables checkpointing).
+    checkpoint_every : starts per fleet chunk (and per checkpoint).
     resume : load ``checkpoint`` first and skip its completed starts;
         the checkpoint must match this sweep's tensor and parameters.
-    max_requeues : how many times a crashed worker task is rescheduled
-        before the start is reported as failed.
+    max_requeues : how many times a crashed start is requeued before it
+        is reported as failed.
     faults : optional :class:`~repro.resilience.faults.FaultPlan` (chaos
         testing only).
     checkpoint_source : free-form metadata stored in the checkpoint so
@@ -246,11 +228,7 @@ def resilient_multistart(
     alpha = resolve_option("alpha", alpha, config, 0.0)
     tol = resolve_option("tol", tol, config, 1e-12)
     max_iters = resolve_option("max_iters", max_iters, config, 500)
-    kernels = resolve_option("kernels", kernels, config, None)
     retry = resolve_option("retry", retry, config, None) or RetryPolicy()
-    guard_cfg = resolve_guards(resolve_option("guards", guards, config, True))
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if num_starts < 1:
         raise ValueError(f"num_starts must be >= 1, got {num_starts}")
     if checkpoint_every < 1:
@@ -258,11 +236,8 @@ def resilient_multistart(
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
 
-    m, n = tensor.m, tensor.n
-    if isinstance(kernels, str) or kernels is None:
-        pair = get_kernels(kernels or "precomputed", m, n)
-    else:
-        pair = kernels
+    n = tensor.n
+    plan = get_plan(tensor.m, n, "vectorized")
     safe_shift = suggested_shift(tensor)
     fingerprint = tensor_fingerprint(tensor)
 
@@ -276,160 +251,161 @@ def resilient_multistart(
         state = read_checkpoint(checkpoint)
         check_resumable(state, fingerprint=fingerprint, num_starts=num_starts,
                         seed=seed, alpha=alpha, tol=tol, max_iters=max_iters)
+        version = str(state["run"].get("version") or "0")
+        major = version.split(".")[0]
+        if not major.isdigit() or int(major) < 2:
+            # a 1.x per-start runner's starts: resuming would mix engines
+            raise ValueError(
+                f"checkpoint was written by repro {version}, whose per-start "
+                f"runner predates the 2.0 fleet runner; rerun without resume")
         for key, doc in state["starts"].items():
             index = int(key)
             if 0 <= index < num_starts:
                 completed[index] = StartReport.from_doc(index, doc)
         resumed = len(completed)
 
-    def run_start(start: int) -> tuple[StartReport, MetricsRegistry]:
-        # per-task registry: no cross-thread lock traffic; merged below.
-        # InjectedWorkerCrash (and any unexpected bug) escapes to the
-        # requeue logic in the collector loop.
-        reg = MetricsRegistry()
-        with use_registry(reg):
+    registry = get_registry()
+    starts_failed = registry.counter(
+        "repro_starts_failed_total",
+        "Sweep starts whose retry budget was exhausted")
+    requeues: dict[int, int] = {}  # crashes per start
+
+    def fleet_pass(lanes: list[int], attempt: int) -> dict[int, tuple]:
+        """One fleet run of ``lanes`` at attempt ``attempt``.  Lanes with a
+        fault-injected tensor view or kernel plan run as their own fleet;
+        lanes never interact, so the grouping changes no result."""
+        alpha_a = escalate_shift(alpha, attempt, safe_shift)
+        # SS-HOPM's convergence rate degrades ~linearly in |alpha| (the
+        # paper's shift-vs-speed tradeoff), so an escalated retry gets a
+        # proportionally larger iteration budget
+        iters_a = max_iters if attempt == 0 else int(
+            max_iters * retry.shift_growth ** (attempt - 1) * 2)
+        key = attempt if retry.fresh_start else 0
+        x0 = np.stack([random_unit_vector(n, rng=spawn_rng(seed, s, key))
+                       for s in lanes])
+        groups: dict[tuple, tuple] = {}
+        for i, s in enumerate(lanes):
+            view, plan_a = tensor, plan
             if faults is not None:
-                faults.on_task_start(start)
-            tensor_i = faults.tensor_for(start, tensor) if faults is not None else tensor
+                view = faults.tensor_for(s, tensor)
+                plan_a = faults.wrap_plan(s, attempt, plan)
+            groups.setdefault((id(view), id(plan_a)), (view, plan_a, []))[2].append(i)
+        out = {}
+        for view, plan_a, rows in groups.values():
+            res = fleet_solve(view, starts=x0[rows], alpha=alpha_a, tol=tol,
+                              max_iters=iters_a, plan=plan_a, guards=False,
+                              telemetry=False)
+            lam, x = res.eigenvalues[0], res.eigenvectors[0]
+            residual = np.linalg.norm(
+                plan.ax_m1(view.values[None, :], x) - lam[:, None] * x, axis=-1)
+            for j, i in enumerate(rows):
+                out[lanes[i]] = (lam[j], x[j], bool(res.converged[0, j]),
+                                 bool(res.failed[0, j]), int(res.iterations[0, j]),
+                                 residual[j], alpha_a)
+        return out
 
-            def attempt(a: int):
-                x0_key = a if retry.fresh_start else 0
-                x0 = random_unit_vector(n, rng=spawn_rng(seed, start, x0_key))
-                alpha_a = escalate_shift(alpha, a, safe_shift)
-                # SS-HOPM's convergence rate degrades ~linearly in |alpha|
-                # (the paper's shift-vs-speed tradeoff), so an escalated
-                # retry gets a proportionally larger iteration budget
-                iters_a = max_iters if a == 0 else int(
-                    max_iters * retry.shift_growth ** (a - 1) * 2)
-                pair_a = pair
-                if faults is not None:
-                    pair_a = faults.wrap_kernels(start, a, pair)
-                res = sshopm(
-                    tensor_i, x0=x0, alpha=alpha_a, tol=tol,
-                    max_iters=iters_a, kernels=pair_a, guards=guard_cfg,
-                    telemetry=False,
-                )
-                return res, alpha_a
-
-            try:
-                outcome = run_with_retry(
-                    attempt, retry, solver="sshopm",
-                    rng=spawn_rng(seed, start, _JITTER_KEY),
-                )
-            except SolveFailure as failure:
-                reg.counter(
-                    "repro_starts_failed_total",
-                    "Sweep starts whose retry budget was exhausted",
-                ).inc()
-                report = StartReport(
-                    index=start,
-                    eigenvalue=failure.last_lambda,
-                    eigenvector=(failure.last_iterate
-                                 if failure.last_iterate is not None
-                                 else np.zeros(n)),
-                    converged=False,
-                    iterations=failure.iteration,
-                    residual=float("nan"),
-                    attempts=getattr(failure, "attempts", 1),
-                    alpha=alpha,
-                    error=failure.reason,
-                )
-            else:
-                res, alpha_used = outcome.result
-                if outcome.attempts > 1:
-                    reg.counter(
+    def solve_lanes(lanes: list[int]) -> dict[int, StartReport]:
+        """Attempt 0 plus the retry passes for ``lanes``."""
+        reports = {}
+        for attempt in range(retry.max_attempts):
+            if not lanes:
+                break
+            last = attempt == retry.max_attempts - 1
+            again = []
+            for s, (lam, x, conv, dead, iters, resid, alpha_a) in fleet_pass(
+                    lanes, attempt).items():
+                reason = None
+                if dead:
+                    reason = "nonfinite" if not np.isfinite(lam) else "collapse"
+                elif not conv:
+                    # out of budget short of tol: the fleet keeps no lambda
+                    # history, so stalls and oscillations both land here
+                    reason = "stall"
+                if reason is not None:
+                    _record_attempt("fleet_solve", reason)
+                    if not last and reason in retry.retry_on:
+                        again.append(s)
+                        continue
+                    starts_failed.inc()
+                elif attempt > 0:
+                    registry.counter(
                         "repro_starts_recovered_total",
                         "Sweep starts that succeeded only after retries",
                     ).inc()
-                report = StartReport(
-                    index=start,
-                    eigenvalue=res.eigenvalue,
-                    eigenvector=res.eigenvector,
-                    converged=res.converged,
-                    iterations=res.iterations,
-                    residual=res.residual,
-                    attempts=outcome.attempts,
-                    alpha=alpha_used,
-                )
-        return report, reg
+                reports[s] = StartReport(
+                    index=s, eigenvalue=float(lam), eigenvector=x,
+                    converged=conv, iterations=iters,
+                    residual=float("nan") if dead else float(resid),
+                    attempts=attempt + 1, alpha=alpha_a,
+                    requeues=requeues.get(s, 0), error=reason)
+            lanes = again
+        return reports
 
-    pending = [s for s in range(num_starts) if s not in completed]
-    caller_reg = get_registry()
-    requeue_counts: dict[int, int] = {}
-    total_requeues = 0
-    warned_degraded = False
-    since_save = 0
+    def crashed(s: int, exc: BaseException, reports: dict) -> bool:
+        """Count a crash of start ``s``; True when it may be requeued,
+        else its crash report lands in ``reports``."""
+        count = requeues[s] = requeues.get(s, 0) + 1
+        error = f"{type(exc).__name__}: {exc}"
+        if sum(requeues.values()) == 1:
+            warnings.warn(
+                f"sweep start {s} crashed ({error}); requeueing — running "
+                f"in degraded mode", RuntimeWarning, stacklevel=4)
+        _log.warning("sweep start crashed",
+                     fields={"start": s, "attempt": count, "error": error})
+        if count <= max_requeues:
+            registry.counter(
+                "repro_requeues_total",
+                "Crashed sweep tasks rescheduled on a surviving worker",
+            ).inc()
+            return True
+        starts_failed.inc()
+        reports[s] = StartReport(
+            index=s, eigenvalue=float("nan"), eigenvector=np.zeros(n),
+            converged=False, iterations=0, residual=float("nan"), attempts=0,
+            alpha=float("nan"), requeues=count - 1, error=f"crash: {error}")
+        return False
 
-    def record(report: StartReport, reg: MetricsRegistry | None) -> None:
-        nonlocal since_save
-        completed[report.index] = report
-        state["starts"][str(report.index)] = report.to_doc()
-        if reg is not None:
-            caller_reg.merge(reg)
-        since_save += 1
-        if checkpoint is not None and since_save >= checkpoint_every:
-            write_checkpoint(checkpoint, state)
-            since_save = 0
+    def run_chunk(chunk: list[int]) -> dict[int, StartReport]:
+        reports: dict[int, StartReport] = {}
+        todo = chunk
+        while todo:
+            admitted, again = [], []
+            for s in todo:
+                try:
+                    if faults is not None:
+                        faults.on_task_start(s)
+                except Exception as exc:
+                    if crashed(s, exc, reports):
+                        again.append(s)
+                else:
+                    admitted.append(s)
+            try:
+                reports.update(solve_lanes(admitted))
+            except Exception as exc:
+                again += [s for s in admitted if crashed(s, exc, reports)]
+            todo = again
+        return reports
 
     with _span("resilient_multistart"):
-        if pending:
-            with ThreadPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = {pool.submit(run_start, s): s for s in pending}
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        start = futures.pop(fut)
-                        try:
-                            report, reg = fut.result()
-                        except BaseException as exc:
-                            count = requeue_counts.get(start, 0) + 1
-                            requeue_counts[start] = count
-                            if not warned_degraded:
-                                warned_degraded = True
-                                warnings.warn(
-                                    f"sweep task for start {start} crashed "
-                                    f"({type(exc).__name__}: {exc}); requeueing "
-                                    f"— running in degraded mode",
-                                    RuntimeWarning,
-                                    stacklevel=2,
-                                )
-                            _log.warning(
-                                "sweep task crashed",
-                                fields={
-                                    "start": start, "attempt": count,
-                                    "error": f"{type(exc).__name__}: {exc}",
-                                })
-                            if count <= max_requeues:
-                                total_requeues += 1
-                                caller_reg.counter(
-                                    "repro_requeues_total",
-                                    "Crashed sweep tasks rescheduled on a "
-                                    "surviving worker",
-                                ).inc()
-                                futures[pool.submit(run_start, start)] = start
-                                continue
-                            caller_reg.counter(
-                                "repro_starts_failed_total",
-                                "Sweep starts whose retry budget was exhausted",
-                            ).inc()
-                            report, reg = _crash_report(start, n, exc,
-                                                        count - 1), None
-                        if report.requeues == 0:
-                            report.requeues = requeue_counts.get(start, 0)
-                        record(report, reg)
-        if checkpoint is not None and (since_save > 0 or not pending):
+        pending = [s for s in range(num_starts) if s not in completed]
+        for lo in range(0, len(pending), checkpoint_every):
+            for report in run_chunk(pending[lo:lo + checkpoint_every]).values():
+                completed[report.index] = report
+                state["starts"][str(report.index)] = report.to_doc()
+            if checkpoint is not None:
+                write_checkpoint(checkpoint, state)
+        if checkpoint is not None and not pending:
             write_checkpoint(checkpoint, state)
 
-    reports = [completed[s] for s in sorted(completed)]
     result = ResilientSweepResult(
         tensor=tensor,
         num_starts=num_starts,
-        reports=reports,
+        reports=[completed[s] for s in sorted(completed)],
         resumed=resumed,
-        requeues=total_requeues,
+        requeues=sum(min(c, max_requeues) for c in requeues.values()),
         checkpoint_path=checkpoint,
     )
-    caller_reg.gauge(
+    registry.gauge(
         "repro_sweep_failed_starts",
         "Failed starts in the most recent resilient sweep",
     ).set(len(result.failed_starts))

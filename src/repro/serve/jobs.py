@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.multistart import starting_vectors
 from repro.instrument.events import emit as _emit, new_run_id
 from repro.instrument.log import get_logger
 from repro.instrument.metrics import observe_serve_degraded, observe_serve_job
@@ -45,6 +44,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.symtensor.random import random_symmetric_batch
 from repro.symtensor.storage import SymmetricTensorBatch
+from repro.util.rng import starting_vectors
 
 __all__ = ["Job", "JobSpec", "run_job"]
 

@@ -140,7 +140,10 @@ class EigenServer:
             previous[signum] = signal.signal(
                 signum, lambda *_: self._shutdown.set())
         try:
-            self._shutdown.wait()
+            # timed: a signal the kernel hands to a non-main thread only
+            # flags the main thread, which an untimed wait never rechecks
+            while not self._shutdown.wait(0.5):
+                pass
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters, resolve_option
+from repro.core.config import SolveConfig, resolve_option
 from repro.core.eigenpairs import hessian_matrix
 from repro.solvers.sshopm import SSHOPMResult
 from repro.instrument import current_recorder, instrumented_pair
@@ -53,7 +53,6 @@ def adaptive_sshopm(
     *,
     telemetry: bool | None = None,
     guards=None,
-    max_iter: int | None = None,
 ) -> SSHOPMResult:
     """SS-HOPM with the GEAP adaptive shift.
 
@@ -72,8 +71,7 @@ def adaptive_sshopm(
     config : optional :class:`~repro.core.config.SolveConfig`; its
         ``alpha`` field is ignored (the shift is derived per step).
     Other parameters as in :func:`repro.solvers.sshopm.sshopm`
-    (``tol`` default ``1e-12``, ``max_iters`` default 500; ``max_iter=`` is
-    the deprecated spelling).
+    (``tol`` default ``1e-12``, ``max_iters`` default 500).
 
     Returns an :class:`SSHOPMResult`; its ``lambda_history`` is monotone
     nondecreasing for ``mode="max"`` (nonincreasing for ``"min"``) up to
@@ -81,7 +79,6 @@ def adaptive_sshopm(
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    max_iters = reconcile_max_iters(max_iters, max_iter)
     tol = resolve_option("tol", tol, config, 1e-12)
     max_iters = resolve_option("max_iters", max_iters, config, 500)
     kernels = resolve_option("kernels", kernels, config, None)

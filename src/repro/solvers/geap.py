@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters
+from repro.core.config import SolveConfig
 from repro.core.eigenpairs import hessian_matrix
 from repro.instrument import span as _span
 from repro.kernels.dispatch import KernelPair
@@ -82,7 +82,6 @@ def geap(
     telemetry: bool | None = None,
     guards=None,
     stop=None,
-    max_iter: int | None = None,
 ) -> SSHOPMResult:
     """Run GEAP (projected-Hessian adaptive shift) from one start.
 
@@ -99,8 +98,7 @@ def geap(
         the serve drain ride on.
     Other parameters as in :func:`repro.solvers.sshopm.sshopm`
     (``tol`` default ``1e-12``, ``max_iters`` default 500; ``guards``
-    raises a structured :class:`~repro.resilience.guards.SolveFailure`;
-    ``max_iter=`` is the deprecated spelling).
+    raises a structured :class:`~repro.resilience.guards.SolveFailure`).
 
     Returns an :class:`~repro.solvers.sshopm.SSHOPMResult`;
     ``lambda_history`` is monotone (up to floating-point noise) in the
@@ -108,7 +106,6 @@ def geap(
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    max_iters = reconcile_max_iters(max_iters, max_iter)
     run = prepare(
         "geap", tensor, tol=tol, max_iters=max_iters, kernels=kernels,
         rng=rng, config=config, telemetry=telemetry, guards=guards,

@@ -38,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters
+from repro.core.config import SolveConfig
 from repro.core.refine import newton_refine
 from repro.instrument import span as _span
 from repro.kernels.dispatch import KernelPair
@@ -147,7 +147,6 @@ def qrst(
     max_pairs: int | None = None,
     max_dense: int = QRST_DENSE_LIMIT,
     stall_window: int = 25,
-    max_iter: int | None = None,
 ) -> QRSTResult:
     """Run QRST with deflation on one symmetric tensor.
 
@@ -171,7 +170,6 @@ def qrst(
         with ``reason="nonfinite"`` instead of returning garbage.
     Other parameters as in :func:`repro.solvers.sshopm.sshopm`.
     """
-    max_iters = reconcile_max_iters(max_iters, max_iter)
     if tensor.n ** tensor.m > max_dense:
         raise ValueError(
             f"qrst works on the dense tensor: n**m = {tensor.n ** tensor.m} "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import SolveConfig, reconcile_max_iters, resolve_option
+from repro.core.config import SolveConfig, resolve_option
 from repro.instrument import current_recorder, instrumented_pair
 from repro.instrument import span as _span
 from repro.instrument.metrics import observe_solver_run
@@ -117,7 +117,6 @@ def sshopm(
     *,
     telemetry: bool | None = None,
     guards=None,
-    max_iter: int | None = None,
 ) -> SSHOPMResult:
     """Run SS-HOPM (Figure 1) from one starting vector.
 
@@ -131,7 +130,7 @@ def sshopm(
     tol : convergence threshold on ``|lambda_{k+1} - lambda_k|``
         (default ``1e-12``).
     max_iters : iteration cap (default 500); exceeding it returns
-        ``converged=False``.  ``max_iter=`` is the deprecated spelling.
+        ``converged=False``.
     kernels : a :class:`KernelPair` or variant name (default
         ``"precomputed"``); lets the benchmarks time the same driver over
         every kernel implementation.
@@ -161,7 +160,6 @@ def sshopm(
     e.g. alpha=0 with x in the kernel of the map) terminates the run
     unconverged at the current iterate.
     """
-    max_iters = reconcile_max_iters(max_iters, max_iter)
     alpha = resolve_option("alpha", alpha, config, 0.0)
     tol = resolve_option("tol", tol, config, 1e-12)
     max_iters = resolve_option("max_iters", max_iters, config, 500)

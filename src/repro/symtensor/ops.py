@@ -164,13 +164,13 @@ def best_rank_one(
     ``||A||_F^2 - lambda*^2``.  Both convex and concave shifted iterations
     are run so negative-lambda optima are found too.
     """
-    from repro.core.multistart import multistart_sshopm
+    from repro.engine.fleet import fleet_solve
     from repro.solvers.sshopm import suggested_shift
 
     alpha = suggested_shift(tensor)
     best_lam, best_x = 0.0, None
     for shift in (alpha, -alpha):
-        res = multistart_sshopm(
+        res = fleet_solve(
             tensor, num_starts=num_starts, alpha=shift, tol=tol,
             max_iters=max_iter, rng=rng,
         )

@@ -18,6 +18,7 @@ from repro.util.rng import (
     make_rng,
     random_unit_vector,
     random_unit_vectors,
+    starting_vectors,
 )
 
 __all__ = [
@@ -39,4 +40,5 @@ __all__ = [
     "make_rng",
     "random_unit_vector",
     "random_unit_vectors",
+    "starting_vectors",
 ]

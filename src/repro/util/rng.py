@@ -15,6 +15,7 @@ __all__ = [
     "random_unit_vectors",
     "random_unit_vector",
     "fibonacci_sphere",
+    "starting_vectors",
 ]
 
 
@@ -37,7 +38,7 @@ def spawn_rng(seed: int | None, *key: int) -> np.random.Generator:
     many siblings were spawned before it, which worker thread asks, or
     in what order — so per-start randomness (e.g. restart vectors for
     attempt ``a`` of start ``i``: ``spawn_rng(seed, i, a)``) is identical
-    for ``workers=1`` and ``workers=8``, and a checkpoint-resumed sweep
+    however the starts are chunked into fleet calls, and a resumed sweep
     regenerates exactly the streams the interrupted one used.
 
     ``seed=None`` draws fresh OS entropy (not reproducible); pass an
@@ -106,3 +107,25 @@ def fibonacci_sphere(count: int, dtype: np.dtype | type = np.float64) -> np.ndar
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
     return pts.astype(dtype, copy=False)
+
+
+def starting_vectors(
+    count: int,
+    n: int,
+    scheme: str = "random",
+    rng=None,
+    dtype=np.float64,
+) -> np.ndarray:
+    """Generate the shared ``(count, n)`` starting-vector set.
+
+    ``scheme="random"`` draws uniform entries in ``[-1, 1]`` and normalizes
+    (the paper's choice); ``scheme="fibonacci"`` returns the deterministic
+    evenly-spaced alternative the paper mentions (``n == 3`` only).
+    """
+    if scheme == "random":
+        return random_unit_vectors(count, n, rng=rng, dtype=dtype)
+    if scheme == "fibonacci":
+        if n != 3:
+            raise ValueError("fibonacci scheme is defined on the 2-sphere (n=3)")
+        return fibonacci_sphere(count, dtype=dtype)
+    raise ValueError(f"unknown starting-vector scheme {scheme!r}")

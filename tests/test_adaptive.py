@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import adaptive_sshopm
+from repro.solvers.adaptive import adaptive_sshopm
 from repro.core.eigenpairs import classify_eigenpair
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.symtensor.random import kolda_mayo_example_3x3x3, random_symmetric_tensor
 from repro.util.rng import random_unit_vector
 

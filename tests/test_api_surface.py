@@ -26,7 +26,6 @@ SIGNATURES = [
     "repro.solve",
     "repro.core.sshopm",
     "repro.core.adaptive_sshopm",
-    "repro.core.multistart_sshopm",
     "repro.core.suggested_shift",
     "repro.solvers.geap",
     "repro.solvers.qrst",
@@ -56,6 +55,7 @@ SIGNATURES = [
     "repro.serve.AdmissionQueue",
     "repro.resilience.prune_checkpoints",
     "repro.resilience.list_checkpoints",
+    "repro.resilience.resilient_multistart",
 ]
 
 DATACLASSES = [
@@ -134,10 +134,9 @@ def test_public_api_matches_snapshot():
 def test_result_protocol_members_exist():
     """Every result class advertises the shared protocol members."""
     from repro.core import FleetResult
-    from repro.core.multistart import MultistartResult
-    from repro.core.sshopm import SSHOPMResult
+    from repro.solvers.sshopm import SSHOPMResult
 
-    for cls in (SSHOPMResult, MultistartResult, FleetResult):
+    for cls in (SSHOPMResult, FleetResult):
         assert callable(getattr(cls, "eigenpairs"))
         fields = {f.name for f in dataclasses.fields(cls)}
         assert "converged" in fields

@@ -62,7 +62,7 @@ class TestAutoVariant:
         assert np.isclose(pair.ax_m(tensor, x), ax_m_compressed(tensor, x))
 
     def test_sshopm_with_auto(self, rng):
-        from repro.core.sshopm import sshopm, suggested_shift
+        from repro.solvers.sshopm import sshopm, suggested_shift
 
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         res = sshopm(tensor, alpha=suggested_shift(tensor), kernels="auto",

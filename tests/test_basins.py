@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.basins import basin_map, render_basin_map, starts_needed_estimate
-from repro.core.sshopm import suggested_shift
+from repro.solvers.sshopm import suggested_shift
 from repro.symtensor.random import (
     kolda_mayo_example_3x3x3,
     random_odeco_tensor,

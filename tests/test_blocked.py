@@ -163,7 +163,7 @@ class TestBlockedInSshopm:
         """End-to-end: SS-HOPM driven by the blocked kernels converges to
         the same eigenpair as the flat kernels, on a size where unrolling
         would be impractical."""
-        from repro.core.sshopm import sshopm, suggested_shift
+        from repro.solvers.sshopm import sshopm, suggested_shift
         from repro.util.rng import random_unit_vector
 
         t = random_symmetric_tensor(4, 8, rng=rng)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.multistart import multistart_sshopm, starting_vectors
+from repro.engine.fleet import fleet_solve
+from repro.util.rng import starting_vectors
 from repro.kernels.blocked import blocking_plan
 from repro.kernels.blocked_batched import (
     ax_m1_blocked_batched,
@@ -84,10 +85,10 @@ class TestMultistartBackend:
     def test_matches_flat_backend(self, rng):
         batch = random_symmetric_batch(4, 4, 5, rng=rng)
         starts = starting_vectors(6, 5, rng=2)
-        a = multistart_sshopm(batch, starts=starts, alpha=8.0, tol=1e-11,
-                              max_iters=1500, backend="batched")
-        b = multistart_sshopm(batch, starts=starts, alpha=8.0, tol=1e-11,
-                              max_iters=1500, backend="blocked")
+        a = fleet_solve(batch, starts=starts, alpha=8.0, tol=1e-11,
+                        max_iters=1500, variant="vectorized")
+        b = fleet_solve(batch, starts=starts, alpha=8.0, tol=1e-11,
+                        max_iters=1500, variant="blocked")
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-9)
         assert np.allclose(a.eigenvectors, b.eigenvectors, atol=1e-7)
         assert np.array_equal(a.converged, b.converged)
@@ -95,14 +96,14 @@ class TestMultistartBackend:
     def test_large_dimension_multistart(self, rng):
         """The scenario the paper's future work targets: many tensors of a
         size where unrolling is impossible."""
-        from repro.core.sshopm import suggested_shift
+        from repro.solvers.sshopm import suggested_shift
 
         batch = random_symmetric_batch(6, 4, 10, rng=rng)
         # the conservative shift is provable but very slow at this size;
         # accept partial convergence within the iteration budget
         alpha = max(suggested_shift(batch[t]) for t in range(6))
-        res = multistart_sshopm(batch, num_starts=8, alpha=alpha, rng=3,
-                                tol=1e-9, max_iters=3000, backend="blocked")
+        res = fleet_solve(batch, num_starts=8, alpha=alpha, rng=3,
+                          tol=1e-9, max_iters=3000, variant="blocked")
         assert res.converged.mean() > 0.4
         from repro.kernels.blocked_batched import ax_m1_blocked_batched as axm1
 

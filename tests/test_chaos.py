@@ -5,8 +5,8 @@ deterministically by :class:`~repro.resilience.faults.FaultPlan` under a
 pinned seed (``REPRO_CHAOS_SEED``, default 20110516), so a failure here
 reproduces exactly.
 
-The headline scenario: a 64-start sweep with injected NaN kernels, a
-killed worker, and one corrupted start must still return every
+The headline scenario: a 64-start fleet sweep with injected NaN kernels,
+a crashed start, and one corrupted start must still return every
 recoverable eigenpair, report the failed start, and — interrupted and
 resumed from its checkpoint — match the uninterrupted run bit-for-bit.
 """
@@ -19,8 +19,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.eigenpairs import dedupe_eigenpairs
-from repro.parallel.executor import parallel_multistart_sshopm
 from repro.resilience import (
     FaultPlan,
     InjectedWorkerCrash,
@@ -38,6 +36,14 @@ def tensor():
     return random_symmetric_tensor(4, 3, rng=np.random.default_rng(CHAOS_SEED))
 
 
+def _has_chunk_checkpoint(path) -> bool:
+    """True once ``path`` holds a job checkpoint with a completed chunk."""
+    try:
+        return bool(json.loads(path.read_text())["starts"])
+    except (OSError, ValueError, KeyError):
+        return False
+
+
 def _pair_set(result):
     """Comparable (eigenvalue, |first eigenvector component|) signature."""
     return sorted(round(p.eigenvalue, 9) for p in result.eigenpairs())
@@ -52,13 +58,13 @@ def test_acceptance_64_starts_survive_chaos(tensor):
         corrupt={25: 4},                              # unrecoverable input fault
     )
     clean = resilient_multistart(tensor, num_starts=64, alpha=2.0,
-                                 seed=CHAOS_SEED, workers=4)
+                                 seed=CHAOS_SEED)
     assert not clean.failed_starts
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         chaotic = resilient_multistart(
-            tensor, num_starts=64, alpha=2.0, seed=CHAOS_SEED, workers=4,
+            tensor, num_starts=64, alpha=2.0, seed=CHAOS_SEED,
             retry=RetryPolicy(max_attempts=3), faults=plan,
         )
 
@@ -68,7 +74,7 @@ def test_acceptance_64_starts_survive_chaos(tensor):
     assert report_25.error == "nonfinite"
     assert "failed [nonfinite]: starts 25" in chaotic.summary()
 
-    # the killed worker's start was requeued and recovered
+    # the crashed start was requeued and recovered
     report_9 = next(r for r in chaotic.reports if r.index == 9)
     assert report_9.requeues == 1 and report_9.ok
     assert chaotic.requeues == 1
@@ -87,19 +93,20 @@ def test_acceptance_64_starts_survive_chaos(tensor):
 def test_acceptance_interrupt_resume_bit_for_bit(tensor, tmp_path):
     ck = tmp_path / "sweep.ckpt.json"
     full = resilient_multistart(tensor, num_starts=64, alpha=2.0,
-                                seed=CHAOS_SEED, workers=4)
+                                seed=CHAOS_SEED)
 
-    # simulate an interruption: checkpoint a complete run, then drop every
-    # start past the first 20 from the saved state
+    # simulate an interruption: checkpoint a complete run in chunks of 16,
+    # then drop every start past the first 20 from the saved state — the
+    # cut falls inside a chunk, so the resumed sweep re-chunks differently
     resilient_multistart(tensor, num_starts=64, alpha=2.0, seed=CHAOS_SEED,
-                         workers=4, checkpoint=str(ck), checkpoint_every=16)
+                         checkpoint=str(ck), checkpoint_every=16)
     state = json.loads(ck.read_text())
     state["starts"] = {k: v for k, v in state["starts"].items() if int(k) < 20}
     ck.write_text(json.dumps(state))
 
     resumed = resilient_multistart(tensor, num_starts=64, alpha=2.0,
-                                   seed=CHAOS_SEED, workers=4,
-                                   checkpoint=str(ck), resume=True)
+                                   seed=CHAOS_SEED, checkpoint=str(ck),
+                                   resume=True)
     assert resumed.resumed == 20
     assert len(resumed.reports) == 64
     for a, b in zip(full.reports, resumed.reports):
@@ -110,17 +117,25 @@ def test_acceptance_interrupt_resume_bit_for_bit(tensor, tmp_path):
     assert _pair_set(resumed) == _pair_set(full)
 
 
-def test_eigenpair_set_invariant_under_worker_count(tensor):
-    """The RNG satellite: spawn-key streams make workers=1 and workers=8
-    produce identical per-start results, hence identical eigenpair sets."""
-    one = resilient_multistart(tensor, num_starts=32, alpha=2.0,
-                               seed=CHAOS_SEED, workers=1)
-    eight = resilient_multistart(tensor, num_starts=32, alpha=2.0,
-                                 seed=CHAOS_SEED, workers=8)
-    for a, b in zip(one.reports, eight.reports):
+@pytest.mark.parametrize("checkpoint_every", [1, 8])
+def test_per_start_results_invariant_under_checkpoint_every(tensor,
+                                                            checkpoint_every):
+    """Spawn-key streams and non-interacting fleet lanes make every chunk
+    size produce bit-identical per-start results — the property resume
+    relies on.  A tight budget forces retry passes, so retried lanes are
+    covered too."""
+    kw = dict(num_starts=64, alpha=0.5, max_iters=40, seed=CHAOS_SEED)
+    whole = resilient_multistart(tensor, checkpoint_every=64, **kw)
+    chunked = resilient_multistart(tensor, checkpoint_every=checkpoint_every,
+                                   **kw)
+    assert whole.retried_starts  # the budget really forced retries
+    for a, b in zip(whole.reports, chunked.reports):
+        assert a.index == b.index
         assert a.eigenvalue == b.eigenvalue
         np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
-    assert _pair_set(one) == _pair_set(eight)
+        assert (a.iterations, a.attempts, a.alpha) == (
+            b.iterations, b.attempts, b.alpha)
+    assert _pair_set(whole) == _pair_set(chunked)
 
 
 def test_resume_rejects_mismatched_run(tensor, tmp_path):
@@ -136,12 +151,50 @@ def test_resume_rejects_mismatched_run(tensor, tmp_path):
                              checkpoint=str(ck), resume=True)
 
 
+@pytest.mark.parametrize("version", ["1.0.0", None])
+def test_resume_rejects_1x_checkpoint(tensor, tmp_path, version):
+    """A checkpoint written by the 1.x per-start runner (or one with no
+    version stamp) must not resume on the fleet runner: the sweep would mix
+    two engines' results."""
+    ck = tmp_path / "ck.json"
+    resilient_multistart(tensor, num_starts=8, alpha=2.0, seed=CHAOS_SEED,
+                         checkpoint=str(ck))
+    state = json.loads(ck.read_text())
+    state["starts"] = {k: v for k, v in state["starts"].items() if int(k) < 3}
+    if version is None:
+        del state["run"]["version"]
+    else:
+        state["run"]["version"] = version
+    ck.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="predates the 2.0 fleet runner"):
+        resilient_multistart(tensor, num_starts=8, alpha=2.0,
+                             seed=CHAOS_SEED, checkpoint=str(ck), resume=True)
+
+
+@pytest.mark.parametrize("retry_on,attempts", [
+    (RetryPolicy().retry_on, 2),  # default: "stall" is retried once
+    (("nonfinite",), 1),          # not in retry_on: reported at once
+])
+def test_budget_exhaustion_reports_stall(tensor, retry_on, attempts):
+    """A budget too small to converge: every start ends as a ``stall``
+    failure, retried only when ``retry_on`` names it."""
+    res = resilient_multistart(
+        tensor, num_starts=8, alpha=2.0, max_iters=2, seed=CHAOS_SEED,
+        retry=RetryPolicy(max_attempts=2, retry_on=retry_on))
+    assert not res.converged.any()
+    assert res.failed_starts == list(range(8))
+    assert all(r.error == "stall" and r.attempts == attempts
+               for r in res.reports)
+    assert "failed [stall]: starts 0, 1, 2" in res.summary()
+    assert res.eigenpairs() == []
+
+
 def test_requeue_budget_exhaustion_reports_start(tensor):
     plan = FaultPlan(seed=CHAOS_SEED, crashes={5: 99})  # always crashes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = resilient_multistart(tensor, num_starts=8, alpha=2.0,
-                                   seed=CHAOS_SEED, workers=2, faults=plan,
+                                   seed=CHAOS_SEED, faults=plan,
                                    max_requeues=2)
     assert any("degraded" in str(w.message) for w in caught)
     assert res.failed_starts == [5]
@@ -159,50 +212,52 @@ def test_slow_task_fault_executes(tensor):
     assert not res.failed_starts
 
 
-def test_executor_chunk_crash_requeues_and_recovers():
-    batch = random_symmetric_batch(6, 4, 3,
-                                   rng=np.random.default_rng(CHAOS_SEED))
-    base = parallel_multistart_sshopm(batch, workers=3, num_starts=8,
-                                      alpha=2.0,
-                                      rng=np.random.default_rng(1))
-    plan = FaultPlan(crashes={1: 1})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = parallel_multistart_sshopm(batch, workers=3, num_starts=8,
-                                         alpha=2.0,
-                                         rng=np.random.default_rng(1),
-                                         inject=plan.executor_hook())
-    assert any("degraded" in str(w.message) for w in caught)
-    assert rep.requeues == 1 and not rep.failures
-    np.testing.assert_array_equal(rep.result.eigenvalues,
-                                  base.result.eigenvalues)
+def _crash_fleet_calls(monkeypatch, count):
+    """Make the runner's first ``count`` fleet calls raise, as a worker
+    dying mid-chunk would."""
+    from repro.resilience import runner
+
+    real = runner.fleet_solve
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] <= count:
+            raise InjectedWorkerCrash(f"fleet call {calls['n']} died")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "fleet_solve", flaky)
 
 
-def test_executor_exhausted_chunk_becomes_placeholder():
-    batch = random_symmetric_batch(6, 4, 3,
-                                   rng=np.random.default_rng(CHAOS_SEED))
-    plan = FaultPlan(crashes={0: 99})
+def test_executor_chunk_crash_requeues_and_recovers(tensor, monkeypatch):
+    base = resilient_multistart(tensor, num_starts=16, alpha=2.0,
+                                seed=CHAOS_SEED)
+    _crash_fleet_calls(monkeypatch, 1)
+    with pytest.warns(RuntimeWarning, match="degraded"):
+        res = resilient_multistart(tensor, num_starts=16, alpha=2.0,
+                                   seed=CHAOS_SEED)
+    # the first chunk's 8 starts were requeued once, then solved exactly
+    assert res.requeues == 8 and not res.failed_starts
+    assert [r.requeues for r in res.reports] == [1] * 8 + [0] * 8
+    for a, b in zip(base.reports, res.reports):
+        assert a.eigenvalue == b.eigenvalue
+        np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
+
+
+def test_executor_exhausted_chunk_becomes_placeholder(tensor, monkeypatch):
+    _crash_fleet_calls(monkeypatch, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = parallel_multistart_sshopm(batch, workers=3, num_starts=8,
-                                         alpha=2.0,
-                                         rng=np.random.default_rng(1),
-                                         inject=plan.executor_hook(),
-                                         max_requeues=1)
-    assert len(rep.failures) == 1
-    failure = rep.failures[0]
-    assert failure.chunk_index == 0 and failure.attempts == 2
-    assert "InjectedWorkerCrash" in failure.error
-    lo, hi = failure.tensor_range
-    assert np.isnan(rep.result.eigenvalues[lo:hi]).all()
-    assert rep.result.failed[lo:hi].all()
-    # the surviving chunks' results are intact and usable
-    assert np.isfinite(rep.result.eigenvalues[hi:]).all()
-    pairs = dedupe_eigenpairs(rep.result.eigenvalues[hi:].ravel(),
-                              rep.result.eigenvectors[hi:].reshape(-1, 3),
-                              batch.m,
-                              converged_mask=rep.result.converged[hi:].ravel())
-    assert pairs
+        res = resilient_multistart(tensor, num_starts=16, alpha=2.0,
+                                   seed=CHAOS_SEED, max_requeues=1)
+    # the first chunk crashed twice: written off, never dropped
+    assert res.failed_starts == list(range(8))
+    assert all(r.error.startswith("crash: InjectedWorkerCrash")
+               for r in res.reports[:8])
+    assert np.isnan(res.eigenvalues[:8]).all()
+    # the second chunk is intact and usable
+    assert all(r.converged and r.ok for r in res.reports[8:])
+    assert res.eigenpairs()
 
 
 def test_injected_crash_is_distinguishable():
@@ -222,7 +277,7 @@ class TestProcessFleetChaos:
 
     @pytest.fixture
     def fleet_starts(self):
-        from repro.core.multistart import starting_vectors
+        from repro.util.rng import starting_vectors
 
         return starting_vectors(6, 3, rng=CHAOS_SEED)
 
@@ -374,14 +429,13 @@ class TestServeDrainChaos:
             with urllib.request.urlopen(req, timeout=30) as resp:
                 assert resp.status == 202
                 job = _json.load(resp)["job"]
-            deadline = _time.time() + 15
-            while _time.time() < deadline:
-                with urllib.request.urlopen(f"{base}/jobs/{job}",
-                                            timeout=10) as resp:
-                    if _json.load(resp)["status"] == "running":
-                        break
+            # mid-flight means the job checkpointed its first chunk —
+            # exactly the precondition the assertions below check
+            job_ckpt = ckpt / f"job-{job}.json"
+            deadline = _time.time() + 60
+            while not _has_chunk_checkpoint(job_ckpt):
+                assert _time.time() < deadline, "no chunk checkpoint in 60 s"
                 _time.sleep(0.02)
-            _time.sleep(0.6)  # let the process fleet get mid-flight
             proc.send_signal(_signal.SIGTERM)
             out, _ = proc.communicate(timeout=120)
         finally:
@@ -413,7 +467,7 @@ class TestObservabilityUnderChaos:
 
     @pytest.fixture
     def fleet_starts(self):
-        from repro.core.multistart import starting_vectors
+        from repro.util.rng import starting_vectors
 
         return starting_vectors(6, 3, rng=CHAOS_SEED)
 

@@ -8,11 +8,12 @@ checked against the Python solver stack.  Skipped when no compiler exists.
 import numpy as np
 import pytest
 
-from repro.core.multistart import multistart_sshopm, starting_vectors
-from repro.core.sshopm import suggested_shift
+from repro.engine.fleet import fleet_solve
+from repro.solvers.sshopm import suggested_shift
 from repro.kernels.batched import ax_m1_batched
 from repro.kernels.cuda_emulator import compiler_available, emulate_cuda_sshopm
 from repro.symtensor.random import random_symmetric_batch
+from repro.util.rng import starting_vectors
 
 pytestmark = pytest.mark.skipif(
     compiler_available() is None, reason="no C++ compiler for CUDA emulation"
@@ -47,8 +48,8 @@ class TestEmulatedKernels:
         batch, starts, alpha = workload
         lam, vec = emulate_cuda_sshopm(batch, starts, alpha=alpha, tol=1e-6,
                                        max_iter=3000)
-        py = multistart_sshopm(batch, starts=starts, alpha=alpha, tol=1e-6,
-                               max_iters=3000, dtype=np.float32)
+        py = fleet_solve(batch, starts=starts, alpha=alpha, tol=1e-6,
+                         max_iters=3000, dtype=np.float32)
         assert np.isclose(lam, py.eigenvalues, atol=2e-3).mean() >= 0.95
 
     def test_variants_agree_with_each_other(self, workload):

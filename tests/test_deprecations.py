@@ -1,6 +1,6 @@
-"""Every deprecation shim warns exactly once per use, says what to use
-instead, and blames the *caller* (correct ``stacklevel``), so downstream
-code sees actionable ``-W error`` failures pointing at its own lines."""
+"""Version 2.0 removed every deprecation shim: the old spellings fail
+loudly (``TypeError`` / ``AttributeError`` / ``ImportError``) instead of
+warning, and the supported spellings stay warning-free."""
 
 import warnings
 from importlib import import_module
@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import repro.kernels
-from repro.core import adaptive_sshopm, multistart_sshopm, sshopm
+from repro.core import adaptive_sshopm, sshopm
 from repro.engine import fleet_solve
+from repro.solvers import geap, qrst
 from repro.symtensor import random_symmetric_batch, random_symmetric_tensor
-
-THIS_FILE = __file__
 
 
 def catch(fn):
@@ -30,29 +29,12 @@ def tensor():
 
 
 class TestMaxIterKeyword:
-    def test_sshopm_warns_and_honors_value(self, tensor):
-        with pytest.warns(DeprecationWarning, match="max_iter=.*max_iters="):
-            res = sshopm(tensor, alpha=5.0, rng=0, max_iter=7)
-        assert res.iterations <= 7
-
-    def test_adaptive_warns(self, tensor):
-        with pytest.warns(DeprecationWarning, match="max_iter="):
-            adaptive_sshopm(tensor, rng=0, max_iter=7)
-
-    def test_multistart_warns(self, tensor):
-        with pytest.warns(DeprecationWarning, match="max_iter="):
-            multistart_sshopm(tensor, num_starts=2, alpha=5.0, rng=0,
-                              max_iter=7)
-
-    def test_warning_blames_this_file(self, tensor):
-        (record,) = catch(lambda: sshopm(tensor, alpha=5.0, rng=0, max_iter=5))
-        assert record.filename == THIS_FILE
-
-    def test_both_spellings_conflict(self, tensor):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sshopm(tensor, alpha=5.0, rng=0, max_iter=5, max_iters=9)
+    @pytest.mark.parametrize("solver", [sshopm, adaptive_sshopm, geap, qrst,
+                                        fleet_solve],
+                             ids=lambda fn: fn.__name__)
+    def test_removed_keyword_is_rejected(self, tensor, solver):
+        with pytest.raises(TypeError, match="max_iter"):
+            solver(tensor, max_iter=7)
 
     def test_new_spelling_is_silent(self, tensor):
         assert catch(lambda: sshopm(tensor, alpha=5.0, rng=0, max_iters=5)) == []
@@ -63,14 +45,12 @@ class TestFlatKernelAliases:
         "ax_m_batched", "ax_m1_batched",
         "ax_m_blocked_batched", "ax_m1_blocked_batched",
     ])
-    def test_alias_warns_and_still_works(self, name):
-        with pytest.warns(DeprecationWarning, match=name):
-            fn = getattr(repro.kernels, name)
-        assert callable(fn)
-
-    def test_alias_warning_blames_this_file(self):
-        (record,) = catch(lambda: repro.kernels.ax_m_batched)
-        assert record.filename == THIS_FILE
+    def test_alias_removed(self, name):
+        home = ("repro.kernels.blocked_batched" if "blocked" in name
+                else "repro.kernels.batched")
+        with pytest.raises(AttributeError):
+            getattr(repro.kernels, name)
+        assert callable(getattr(import_module(home), name))
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -78,38 +58,25 @@ class TestFlatKernelAliases:
 
 
 class TestGeneratorAliases:
-    """The direct code-generator entry points are deprecated in favour of
-    the repro.kernels.codegen emitter registry."""
+    """The direct code-generator entry points are gone; the
+    repro.kernels.codegen emitter registry is the one way in."""
 
     @pytest.mark.parametrize("name", [
         "make_unrolled", "generate_source", "generate_cuda_kernel",
     ])
-    def test_package_alias_warns_and_points_at_registry(self, name):
-        with pytest.warns(DeprecationWarning, match="emit") as records:
-            fn = getattr(repro.kernels, name)
-        assert callable(fn)
-        assert name in str(records[0].message)
+    def test_package_alias_removed(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro.kernels, name)
 
-    def test_submodule_alias_warns(self):
+    def test_submodule_alias_removed(self):
         import repro.kernels.cudagen
         import repro.kernels.unrolled
 
-        with pytest.warns(DeprecationWarning, match="make_unrolled"):
-            repro.kernels.unrolled.make_unrolled
-        with pytest.warns(DeprecationWarning, match="generate_source"):
-            repro.kernels.unrolled.generate_source
-        with pytest.warns(DeprecationWarning, match="generate_cuda_kernel"):
-            repro.kernels.cudagen.generate_cuda_kernel
-
-    def test_alias_warning_blames_this_file(self):
-        (record,) = catch(lambda: repro.kernels.make_unrolled)
-        assert record.filename == THIS_FILE
-
-    def test_alias_still_works(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            gen = repro.kernels.make_unrolled(3, 3)
-        assert gen.flops_scalar > 0
+        for module, name in ((repro.kernels.unrolled, "make_unrolled"),
+                             (repro.kernels.unrolled, "generate_source"),
+                             (repro.kernels.cudagen, "generate_cuda_kernel")):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
     def test_registry_path_is_silent(self):
         from repro.kernels.codegen import emit
@@ -117,7 +84,7 @@ class TestGeneratorAliases:
         assert catch(lambda: emit(3, 3, "unrolled")) == []
 
     def test_package_import_is_warning_free(self):
-        """Merely importing repro.kernels must not trip the shims."""
+        """Merely importing repro.kernels must not warn."""
         import subprocess
         import sys
         import textwrap
@@ -138,53 +105,43 @@ class TestGeneratorAliases:
 
 
 class TestCoreSolverShims:
-    """``repro.core.sshopm`` / ``repro.core.adaptive`` forward to
-    :mod:`repro.solvers` with a caller-blaming warning (PR 10)."""
+    """``repro.core.sshopm`` / ``repro.core.adaptive`` (and the lockstep
+    ``repro.core.multistart``) are gone as modules; the solver *names*
+    stay re-exported from the ``repro.core`` package."""
 
-    def test_sshopm_module_attr_warns_and_forwards(self, tensor):
-        legacy_mod = import_module("repro.core.sshopm")
-        from repro.solvers.sshopm import sshopm as new_fn
+    @pytest.mark.parametrize("module", [
+        "repro.core.sshopm", "repro.core.adaptive", "repro.core.multistart",
+        "repro.parallel.executor", "repro.kernels._deprecation",
+    ])
+    def test_shim_modules_removed(self, module):
+        with pytest.raises(ImportError):
+            import_module(module)
 
-        with pytest.warns(DeprecationWarning, match="repro.solvers"):
-            fn = legacy_mod.sshopm
-        assert fn is new_fn
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = fn(tensor, alpha=5.0, rng=0, max_iters=30)
-        assert np.isfinite(res.eigenvalue)
-
-    def test_adaptive_module_attr_warns_and_forwards(self):
-        legacy_mod = import_module("repro.core.adaptive")
-        from repro.solvers.adaptive import adaptive_sshopm as new_fn
-
-        with pytest.warns(DeprecationWarning, match="repro.solvers"):
-            fn = legacy_mod.adaptive_sshopm
-        assert fn is new_fn
-
-    def test_from_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.solvers"):
+    def test_from_import_fails(self):
+        """The old ``from``-import spelling fails; the helper it reached
+        is importable from its home in :mod:`repro.solvers`."""
+        with pytest.raises(ImportError):
             from repro.core.sshopm import suggested_shift  # noqa: F401
+        from repro.solvers.sshopm import suggested_shift
 
-    def test_shim_warning_blames_this_file(self):
-        legacy_mod = import_module("repro.core.sshopm")
-
-        (record,) = catch(lambda: legacy_mod.sshopm)
-        assert record.filename == THIS_FILE
+        assert callable(suggested_shift)
 
     def test_unknown_attribute_still_raises(self):
-        legacy_mod = import_module("repro.core.sshopm")
+        import repro.core
 
         with pytest.raises(AttributeError):
-            legacy_mod.no_such_solver
+            repro.core.no_such_solver
 
     def test_package_reexports_stay_silent(self):
         """``from repro.core import sshopm`` (the *function*, via the
         package) is the supported spelling and must not warn."""
+        import repro.core
+
         assert catch(lambda: repro.core.sshopm) == []
         assert catch(lambda: repro.core.adaptive_sshopm) == []
 
     def test_package_import_is_warning_free(self):
-        """Merely importing repro.core must not trip the solver shims."""
+        """Merely importing repro.core must not warn."""
         import subprocess
         import sys
         import textwrap
@@ -198,7 +155,6 @@ class TestCoreSolverShims:
                    if issubclass(w.category, DeprecationWarning)
                    and "repro" in str(w.message)]
             assert not bad, bad
-            # the package attribute must stay the function, not the shim
             assert callable(repro.core.sshopm), type(repro.core.sshopm)
         """)
         proc = subprocess.run([sys.executable, "-c", script],
@@ -207,27 +163,50 @@ class TestCoreSolverShims:
 
 
 class TestRenamedResultFields:
-    def test_multistart_total_sweeps_property(self, tensor):
-        res = multistart_sshopm(tensor, num_starts=2, alpha=5.0, rng=0,
-                                max_iters=50)
-        with pytest.warns(DeprecationWarning, match="total_sweeps.*sweeps"):
-            old = res.total_sweeps
-        assert old == res.sweeps
-
-    def test_fleet_total_sweeps_property(self):
+    def test_total_sweeps_removed(self):
         batch = random_symmetric_batch(2, 3, 3, rng=9)
         res = fleet_solve(batch, num_starts=2, alpha=5.0, rng=0, max_iters=50)
-        with pytest.warns(DeprecationWarning, match="total_sweeps.*sweeps"):
-            old = res.total_sweeps
-        assert old == res.sweeps
-
-    def test_field_warning_blames_this_file(self, tensor):
-        res = multistart_sshopm(tensor, num_starts=2, alpha=5.0, rng=0,
-                                max_iters=50)
-        (record,) = catch(lambda: res.total_sweeps)
-        assert record.filename == THIS_FILE
+        assert not hasattr(res, "total_sweeps")
+        assert res.sweeps >= 1
 
     def test_new_field_is_silent(self, tensor):
-        res = multistart_sshopm(tensor, num_starts=2, alpha=5.0, rng=0,
-                                max_iters=50)
+        res = fleet_solve(tensor, num_starts=2, alpha=5.0, rng=0,
+                          max_iters=50)
         assert catch(lambda: res.sweeps) == []
+
+
+class TestRemovedDrivers:
+    """The lockstep multistart stack is gone; the fleet is the one
+    multistart engine."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.core", "multistart_sshopm"),
+        ("repro.core", "MultistartResult"),
+        ("repro.core", "starting_vectors"),
+        ("repro.parallel", "parallel_multistart_sshopm"),
+        ("repro.parallel", "ParallelRunReport"),
+        ("repro.core.config", "reconcile_max_iters"),
+        ("repro.core.results", "warn_renamed_field"),
+        ("repro.resilience.faults.FaultPlan", "executor_hook"),
+    ])
+    def test_name_removed(self, module, name):
+        parts = module.split(".")
+        if parts[-1][0].isupper():  # a class: look the attribute up on it
+            obj = getattr(import_module(".".join(parts[:-1])), parts[-1])
+        else:
+            obj = import_module(module)
+        assert not hasattr(obj, name)
+
+    @pytest.mark.parametrize("option", [{"workers": 2},
+                                        {"kernels": "vectorized"}])
+    def test_runner_rejects_removed_option(self, tensor, option):
+        from repro.resilience import resilient_multistart
+
+        with pytest.raises(TypeError, match=next(iter(option))):
+            resilient_multistart(tensor, num_starts=2, **option)
+
+    def test_starting_vectors_moved_to_rng(self):
+        from repro.util.rng import starting_vectors
+
+        starts = starting_vectors(4, 3, rng=0)
+        assert np.allclose(np.linalg.norm(starts, axis=1), 1.0)

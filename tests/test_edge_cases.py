@@ -4,8 +4,8 @@ values, dtype handling, and numerical corners."""
 import numpy as np
 import pytest
 
-from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.engine.fleet import fleet_solve
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.kernels.batched import ax_m1_batched, ax_m_batched
 from repro.kernels.compressed import ax_m1_compressed, ax_m_compressed
 from repro.kernels.reference import ax_m1_dense, ax_m_dense
@@ -101,8 +101,8 @@ class TestExtremeValues:
         good = random_symmetric_tensor(4, 3, rng=rng)
         bad = SymmetricTensor(np.full(15, np.nan), 4, 3)
         batch = SymmetricTensorBatch.from_tensors([good, bad])
-        res = multistart_sshopm(batch, num_starts=8, alpha=suggested_shift(good),
-                                rng=1, tol=1e-10, max_iters=2000)
+        res = fleet_solve(batch, num_starts=8, alpha=suggested_shift(good),
+                          rng=1, tol=1e-10, max_iters=2000)
         assert res.converged[0].all()
         assert not res.converged[1].any()
 

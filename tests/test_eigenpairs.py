@@ -171,7 +171,7 @@ class TestDedupe:
 
     def test_classification_and_residual_filled(self):
         tensor = kolda_mayo_example_3x3x3()
-        from repro.core.sshopm import sshopm, suggested_shift
+        from repro.solvers.sshopm import sshopm, suggested_shift
 
         results = [
             sshopm(tensor, alpha=suggested_shift(tensor), rng=s, max_iters=4000, tol=1e-14)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.exact import eigen_polynomial_n2, exact_eigenpairs_n2
 from repro.core.solve import find_eigenpairs
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.symtensor.random import random_symmetric_tensor
 from repro.symtensor.storage import SymmetricTensor, symmetric_outer_power
 

@@ -202,7 +202,7 @@ class TestCliSurface:
         assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "TOTAL" in out                      # span summary
-        assert "multistart_sshopm" in out          # telemetry stream header
+        assert "fleet_solve" in out                # telemetry stream header
         assert "y=lambda" in out                   # convergence curve
         assert "y=residual" in out                 # residual curve
 

@@ -1,17 +1,17 @@
 """Tests for the instrumentation subsystem (repro.instrument) and the
 unified kernel/solver API surface: span trees, the thread-local recorder,
 flop-total agreement with the legacy FlopCounter, JSON traces, the
-get_kernels(batched=...) dispatch, SolveConfig, and deprecation shims."""
+get_kernels(batched=...) dispatch, SolveConfig, and the removed pre-2.0
+spellings."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import SolveConfig, adaptive_sshopm, find_eigenpairs, sshopm
-from repro.core.config import reconcile_max_iters, resolve_option
-from repro.core.multistart import multistart_sshopm
+from repro.core.config import resolve_option
+from repro.engine.fleet import fleet_solve
 from repro.instrument import (
     Recorder,
     RecorderFlopCounter,
@@ -25,7 +25,7 @@ from repro.instrument import (
 from repro.instrument.recorder import _NULL_SPAN
 from repro.kernels import UnknownVariantError, available_variants, get_kernels
 from repro.mri import extract_fibers_batch, make_phantom
-from repro.parallel import parallel_multistart_sshopm
+from repro.parallel import parallel_fleet_solve
 from repro.symtensor import random_symmetric_tensor
 from repro.util.flopcount import FlopCounter
 
@@ -163,11 +163,12 @@ class TestFlopAgreement:
         tensor = random_symmetric_tensor(4, 3, rng=0)
         counter = FlopCounter()
         with recording() as rec:
-            multistart_sshopm(tensor, num_starts=8, rng=2, max_iters=50,
-                              counter=counter)
+            fleet_solve(tensor, num_starts=8, rng=2, max_iters=50,
+                        counter=counter)
         assert counter.flops > 0
         assert rec.total("flops") == counter.flops
         assert rec.total("bytes") > 0  # traffic estimate recorded
+        assert rec.find("fleet_solve/sweep/kernel.vectorized.ax_m1").count == 50
 
     def test_trace_without_counter_still_counts(self):
         tensor = random_symmetric_tensor(3, 3, rng=0)
@@ -280,34 +281,34 @@ class TestKernelDispatch:
         suite.ax_m(tensor.values[None, None, :], x, counter=counter)
         assert counter.flops > 0
 
-    def test_deprecated_flat_aliases_warn(self):
+    def test_flat_aliases_removed(self):
+        """The flat batched-kernel aliases left the package namespace;
+        get_kernels(batched=True) is the way to reach those kernels."""
         import repro.kernels as K
 
         for name in ("ax_m_batched", "ax_m1_batched",
                      "ax_m_blocked_batched", "ax_m1_blocked_batched"):
-            # force re-resolution: module __getattr__ fires on access
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                fn = getattr(K, name)
-            assert callable(fn)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), name
+            assert name not in K.__all__
+            with pytest.raises(AttributeError):
+                getattr(K, name)
+        for variant in ("vectorized", "blocked"):
+            suite = get_kernels(variant, 4, 3, batched=True)
+            assert callable(suite.ax_m) and callable(suite.ax_m1)
 
 
 class TestSolveConfig:
     def test_config_supplies_defaults(self):
         cfg = SolveConfig(num_starts=4, tol=1e-6, max_iters=30)
         tensor = random_symmetric_tensor(4, 3, rng=0)
-        res = multistart_sshopm(tensor, rng=1, config=cfg)
+        res = fleet_solve(tensor, rng=1, config=cfg)
         assert res.num_starts == 4
         assert res.sweeps <= 30
 
     def test_explicit_kwarg_beats_config(self):
         cfg = SolveConfig(num_starts=4)
         tensor = random_symmetric_tensor(4, 3, rng=0)
-        res = multistart_sshopm(tensor, num_starts=2, rng=1, max_iters=10,
-                                config=cfg)
+        res = fleet_solve(tensor, num_starts=2, rng=1, max_iters=10,
+                          config=cfg)
         assert res.num_starts == 2
 
     def test_resolve_option_order(self):
@@ -323,31 +324,24 @@ class TestSolveConfig:
         assert cfg2.tol == 1e-3 and cfg2.max_iters == 7
         assert cfg.max_iters is None  # frozen original untouched
 
+    def test_max_iter_spelling_removed(self):
+        """Only ``max_iters`` is accepted, as a keyword or a config field,
+        and it caps the iteration count."""
+        tensor = random_symmetric_tensor(4, 3, rng=0)
+        with pytest.raises(TypeError, match="max_iter"):
+            sshopm(tensor, alpha=2.0, rng=1, max_iter=10)
+        with pytest.raises(TypeError, match="max_iter"):
+            SolveConfig(max_iter=10)
+        res = sshopm(tensor, alpha=2.0, rng=1, max_iters=10)
+        assert res.iterations <= 10
+
     def test_config_accepted_by_all_solvers(self):
         cfg = SolveConfig(num_starts=4, max_iters=20, tol=1e-6)
         tensor = random_symmetric_tensor(4, 3, rng=0)
         sshopm(tensor, alpha=2.0, rng=1, config=cfg)
         adaptive_sshopm(tensor, rng=1, config=cfg)
         find_eigenpairs(tensor, rng=1, config=cfg)
-        multistart_sshopm(tensor, rng=1, config=cfg)
-
-
-class TestDeprecationShims:
-    def test_max_iter_warns_and_works(self):
-        tensor = random_symmetric_tensor(4, 3, rng=0)
-        with pytest.warns(DeprecationWarning, match="max_iter"):
-            res = sshopm(tensor, alpha=2.0, rng=1, max_iter=10)
-        assert res.iterations <= 10
-
-    def test_conflicting_spellings_raise(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError):
-                reconcile_max_iters(10, 20)
-
-    def test_same_value_both_spellings_ok(self):
-        with pytest.warns(DeprecationWarning):
-            assert reconcile_max_iters(10, 10) == 10
+        fleet_solve(tensor, rng=1, config=cfg)
 
 
 class TestPipelineTracing:
@@ -370,26 +364,28 @@ class TestPipelineTracing:
 
     def test_parallel_workers_absorbed(self, phantom):
         with recording() as rec:
-            report = parallel_multistart_sshopm(
-                phantom.tensors, workers=2, num_starts=8, max_iters=40, rng=0
+            report = parallel_fleet_solve(
+                phantom.tensors, workers=2, num_starts=8, max_iters=40, rng=0,
+                executor="thread",
             )
         assert report.workers == 2
-        root_span = rec.find("parallel_multistart_sshopm")
+        root_span = rec.find("parallel_fleet_solve")
         assert root_span is not None
         names = set(root_span.children)
         assert "worker0" in names and "worker1" in names
         assert rec.gauges["parallel.workers"] == 2
         # per-worker gauges come back namespaced
-        assert "worker0.multistart.tensors" in rec.gauges
+        assert "worker0.fleet.tensors" in rec.gauges
         assert rec.total("flops") > 0
 
     def test_parallel_matches_serial_result(self, phantom):
-        from repro.core.multistart import starting_vectors
+        from repro.util.rng import starting_vectors
 
         starts = starting_vectors(8, 3, rng=5)
-        serial = multistart_sshopm(phantom.tensors, starts=starts, max_iters=40)
-        par = parallel_multistart_sshopm(
-            phantom.tensors, workers=3, starts=starts, max_iters=40
+        serial = fleet_solve(phantom.tensors, starts=starts, max_iters=40)
+        par = parallel_fleet_solve(
+            phantom.tensors, workers=3, starts=starts, max_iters=40,
+            executor="thread",
         ).result
         np.testing.assert_allclose(serial.eigenvalues, par.eigenvalues)
 
@@ -496,31 +492,3 @@ class TestAbsorbMergeRoundTrip:
         assert [t.name for t in back.telemetry] == ["worker3.sshopm"]
         assert back.telemetry[0].column("lam") == [1.0]
 
-
-class TestDeprecatedAliasStacklevel:
-    """The DeprecationWarning for flat batched aliases must point at the
-    *caller*, not at this package or frozen importlib machinery."""
-
-    def test_getattr_warning_points_at_this_file(self):
-        import repro.kernels
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            getattr(repro.kernels, "ax_m_batched")
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-
-    def test_from_import_warning_points_at_importing_code(self):
-        # a from-import routes through importlib's _handle_fromlist; the
-        # stacklevel walk must skip those frames and land on user code
-        synthetic = "/synthetic/user_module.py"
-        code = compile("from repro.kernels import ax_m1_batched\n",
-                       synthetic, "exec")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            exec(code, {})
-        # the fromlist machinery may trigger __getattr__ more than once;
-        # what matters is every warning blames the importing file
-        assert caught
-        assert all(w.filename == synthetic for w in caught)
-        assert "deprecated" in str(caught[0].message)

@@ -7,10 +7,9 @@ import pytest
 from repro.core import (
     analyze_fixed_point,
     find_eigenpairs_batch,
-    multistart_sshopm,
-    starting_vectors,
     suggested_shift,
 )
+from repro.engine import fleet_solve
 from repro.gpu import (
     divergence_adjusted_iterations,
     predict_sshopm,
@@ -25,8 +24,9 @@ from repro.mri import (
     sh_to_tensor,
     fit_sh,
 )
-from repro.parallel import parallel_multistart_sshopm, predict_cpu_sshopm
+from repro.parallel import parallel_fleet_solve, predict_cpu_sshopm
 from repro.symtensor import SymmetricTensorBatch
+from repro.util.rng import starting_vectors
 
 
 class TestFullPipelineWithPersistence:
@@ -43,8 +43,8 @@ class TestFullPipelineWithPersistence:
                                  loaded.true_directions)
         assert rep.correct_count_fraction > 0.9
 
-        raw = multistart_sshopm(loaded.tensors, num_starts=16, alpha=0.0,
-                                rng=33, tol=1e-8, max_iters=200)
+        raw = fleet_solve(loaded.tensors, num_starts=16, alpha=0.0,
+                          rng=33, tol=1e-8, max_iters=200)
         save_results(tmp_path / "results.npz", raw)
         assert (tmp_path / "results.npz").exists()
 
@@ -70,8 +70,8 @@ class TestSolverToPerformanceModel:
         measured iteration counts, and predict the device runtime."""
         phantom = make_phantom(rows=4, cols=4, num_gradients=24, rng=35)
         starts = starting_vectors(32, 3, rng=36)
-        res = multistart_sshopm(phantom.tensors, starts=starts, alpha=0.0,
-                                tol=1e-6, max_iters=150, dtype=np.float32)
+        res = fleet_solve(phantom.tensors, starts=starts, alpha=0.0,
+                          tol=1e-6, max_iters=150, dtype=np.float32)
         iters = np.maximum(res.iterations, 1)
         prof = warp_profile(iters)
         pred = predict_sshopm(num_tensors=16, num_starts=32,
@@ -84,8 +84,8 @@ class TestSolverToPerformanceModel:
 
     def test_parallel_executor_full_application(self):
         phantom = make_phantom(rows=4, cols=2, num_gradients=24, rng=37)
-        rep = parallel_multistart_sshopm(phantom.tensors, workers=3,
-                                         num_starts=16, rng=38, max_iters=300)
+        rep = parallel_fleet_solve(phantom.tensors, workers=3, num_starts=16,
+                                   rng=38, max_iters=300, executor="thread")
         assert rep.result.eigenvalues.shape == (8, 16)
 
 

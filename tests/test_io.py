@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.multistart import multistart_sshopm
+from repro.engine.fleet import fleet_solve
 from repro.io import (
     load_batch,
     load_phantom,
@@ -76,7 +76,7 @@ class TestPhantomIO:
 class TestResultsIO:
     def test_round_trip(self, tmp_path, rng):
         batch = random_symmetric_batch(3, 4, 3, rng=rng)
-        res = multistart_sshopm(batch, num_starts=8, alpha=5.0, rng=11, max_iters=500)
+        res = fleet_solve(batch, num_starts=8, alpha=5.0, rng=11, max_iters=500)
         path = tmp_path / "res.npz"
         save_results(path, res)
         back = load_results(path)
@@ -88,7 +88,7 @@ class TestResultsIO:
 
     def test_failed_mask_round_trip(self, tmp_path, rng):
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
-        res = multistart_sshopm(batch, num_starts=4, alpha=5.0, rng=11)
+        res = fleet_solve(batch, num_starts=4, alpha=5.0, rng=11)
         assert res.failed is not None
         path = tmp_path / "res.npz"
         save_results(path, res)
@@ -98,7 +98,7 @@ class TestResultsIO:
     def test_old_results_without_failed_mask_load(self, tmp_path, rng):
         # files written before the `failed` field existed must still load
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
-        res = multistart_sshopm(batch, num_starts=4, alpha=5.0, rng=11)
+        res = fleet_solve(batch, num_starts=4, alpha=5.0, rng=11)
         path = tmp_path / "old.npz"
         np.savez_compressed(
             path, format="repro-v1", kind="results",
@@ -107,12 +107,15 @@ class TestResultsIO:
             total_sweeps=res.sweeps,
         )
         back = load_results(path)
-        assert back.failed is None
+        # a FleetResult always carries the mask: no lane recorded as failed
+        assert back.failed.shape == res.converged.shape
+        assert not back.failed.any()
+        assert np.array_equal(back.eigenvalues, res.eigenvalues)
 
     def test_nan_eigenvalues_allowed_in_results(self, tmp_path, rng):
         # failed lanes are part of the record; results skip finiteness checks
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
-        res = multistart_sshopm(batch, num_starts=4, alpha=5.0, rng=11)
+        res = fleet_solve(batch, num_starts=4, alpha=5.0, rng=11)
         res.eigenvalues[0, 0] = np.nan
         path = tmp_path / "res.npz"
         save_results(path, res)

@@ -1,13 +1,15 @@
-"""Tests for the batched lockstep multistart driver (the GPU-shaped
-computation) and its equivalence with per-start sequential SS-HOPM."""
+"""Tests for multistart SS-HOPM on the fleet engine (the GPU-shaped
+computation), its starting vectors, and its equivalence with per-start
+sequential SS-HOPM."""
 
 import numpy as np
 import pytest
 
-from repro.core.multistart import multistart_sshopm, starting_vectors
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.engine.fleet import fleet_solve
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
 from repro.util.flopcount import FlopCounter
+from repro.util.rng import starting_vectors
 
 
 class TestStartingVectors:
@@ -42,7 +44,7 @@ class TestLockstepEquivalence:
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         alpha = suggested_shift(tensor)
         starts = starting_vectors(6, 3, rng=1)
-        batch_res = multistart_sshopm(
+        batch_res = fleet_solve(
             tensor, starts=starts, alpha=alpha, tol=1e-13, max_iters=2000
         )
         for v in range(6):
@@ -55,10 +57,10 @@ class TestLockstepEquivalence:
     def test_backends_agree(self, rng):
         batch = random_symmetric_batch(5, 4, 3, rng=rng)
         starts = starting_vectors(8, 3, rng=2)
-        a = multistart_sshopm(batch, starts=starts, alpha=5.0, backend="batched",
-                              tol=1e-12, max_iters=1500)
-        b = multistart_sshopm(batch, starts=starts, alpha=5.0, backend="batched_unrolled",
-                              tol=1e-12, max_iters=1500)
+        a = fleet_solve(batch, starts=starts, alpha=5.0, variant="vectorized",
+                        tol=1e-12, max_iters=1500)
+        b = fleet_solve(batch, starts=starts, alpha=5.0, variant="unrolled",
+                        tol=1e-12, max_iters=1500)
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-10)
         assert np.allclose(a.eigenvectors, b.eigenvectors, atol=1e-8)
         assert np.array_equal(a.converged, b.converged)
@@ -68,8 +70,8 @@ class TestConvergenceBehavior:
     def test_all_converge_with_big_shift(self, rng):
         batch = random_symmetric_batch(8, 4, 3, rng=rng)
         alphas = [suggested_shift(batch[t]) for t in range(8)]
-        res = multistart_sshopm(batch, num_starts=16, alpha=max(alphas),
-                                rng=3, tol=1e-11, max_iters=4000)
+        res = fleet_solve(batch, num_starts=16, alpha=max(alphas),
+                          rng=3, tol=1e-11, max_iters=4000)
         assert res.converged.all()
         # all converged lanes satisfy the eigenpair equation
         from repro.kernels.batched import ax_m1_batched
@@ -84,8 +86,8 @@ class TestConvergenceBehavior:
         """Once converged, extra sweeps must not change a lane's result."""
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         starts = starting_vectors(4, 3, rng=5)
-        short = multistart_sshopm(tensor, starts=starts, alpha=10.0, tol=1e-12, max_iters=400)
-        long = multistart_sshopm(tensor, starts=starts, alpha=10.0, tol=1e-12, max_iters=4000)
+        short = fleet_solve(tensor, starts=starts, alpha=10.0, tol=1e-12, max_iters=400)
+        long = fleet_solve(tensor, starts=starts, alpha=10.0, tol=1e-12, max_iters=4000)
         conv = short.converged[0]
         assert np.allclose(
             short.eigenvalues[0, conv], long.eigenvalues[0, conv], atol=1e-12
@@ -93,21 +95,21 @@ class TestConvergenceBehavior:
 
     def test_iterations_counted_per_lane(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
-        res = multistart_sshopm(tensor, num_starts=8, alpha=10.0, rng=6,
-                                tol=1e-12, max_iters=2000)
+        res = fleet_solve(tensor, num_starts=8, alpha=10.0, rng=6,
+                          tol=1e-12, max_iters=2000)
         assert res.iterations.shape == (1, 8)
         assert np.all(res.iterations[res.converged] >= 1)
         assert res.sweeps >= res.iterations.max()
 
     def test_unit_norm_outputs(self, rng):
         batch = random_symmetric_batch(3, 3, 3, rng=rng)
-        res = multistart_sshopm(batch, num_starts=10, alpha=8.0, rng=7, max_iters=2000)
+        res = fleet_solve(batch, num_starts=10, alpha=8.0, rng=7, max_iters=2000)
         norms = np.linalg.norm(res.eigenvectors, axis=-1)
         assert np.allclose(norms, 1.0, atol=1e-10)
 
     def test_max_iter_zero_sweeps(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
-        res = multistart_sshopm(tensor, num_starts=4, rng=8, max_iters=0)
+        res = fleet_solve(tensor, num_starts=4, rng=8, max_iters=0)
         assert res.sweeps == 0
         assert not res.converged.any()
 
@@ -115,41 +117,41 @@ class TestConvergenceBehavior:
 class TestInputs:
     def test_single_tensor_promoted_to_batch(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
-        res = multistart_sshopm(tensor, num_starts=4, rng=9, max_iters=50)
+        res = fleet_solve(tensor, num_starts=4, rng=9, max_iters=50)
         assert res.num_tensors == 1
         assert res.num_starts == 4
 
     def test_explicit_starts_normalized(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         starts = np.array([[2.0, 0, 0], [0, 3.0, 0]])
-        res = multistart_sshopm(tensor, starts=starts, alpha=5.0, max_iters=500)
+        res = fleet_solve(tensor, starts=starts, alpha=5.0, max_iters=500)
         assert res.num_starts == 2
 
     def test_bad_starts_shape(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         with pytest.raises(ValueError):
-            multistart_sshopm(tensor, starts=np.zeros((4, 2)))
+            fleet_solve(tensor, starts=np.zeros((4, 2)))
 
     def test_zero_start_rejected(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         with pytest.raises(ValueError):
-            multistart_sshopm(tensor, starts=np.zeros((2, 3)))
+            fleet_solve(tensor, starts=np.zeros((2, 3)))
 
     def test_unknown_backend(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         with pytest.raises(ValueError):
-            multistart_sshopm(tensor, backend="cuda")
+            fleet_solve(tensor, variant="cuda")
 
     def test_float32_lockstep(self, rng):
         """Paper runs in single precision; driver must support it."""
         tensor = random_symmetric_tensor(4, 3, rng=rng)
-        res = multistart_sshopm(tensor, num_starts=8, alpha=10.0, rng=10,
-                                dtype=np.float32, tol=1e-5, max_iters=2000)
-        assert res.eigenvalues.dtype == np.float32
+        res = fleet_solve(tensor, num_starts=8, alpha=10.0, rng=10,
+                          dtype=np.float32, tol=1e-5, max_iters=2000)
+        assert res.eigenvectors.dtype == np.float32
         assert res.converged.any()
 
     def test_flop_counter(self, rng):
         tensor = random_symmetric_tensor(4, 3, rng=rng)
         counter = FlopCounter()
-        multistart_sshopm(tensor, num_starts=4, rng=11, max_iters=20, counter=counter)
+        fleet_solve(tensor, num_starts=4, rng=11, max_iters=20, counter=counter)
         assert counter.flops > 0

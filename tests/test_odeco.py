@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.eigenpairs import classify_eigenpair, eigen_residual
 from repro.core.solve import find_eigenpairs
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.kernels.compressed import ax_m1_compressed
 from repro.symtensor.random import odeco_tensor, random_odeco_tensor
 
@@ -95,7 +95,7 @@ class TestSolverRecovery:
         assert any(abs(l - weights[0]) < 1e-6 for l in lams)
 
     def test_adaptive_sshopm_on_odeco(self, rng):
-        from repro.core.adaptive import adaptive_sshopm
+        from repro.solvers.adaptive import adaptive_sshopm
 
         tensor, basis, weights = random_odeco_tensor(4, 4, rng=rng)
         res = adaptive_sshopm(tensor, rng=rng, tol=1e-14, max_iters=2000)

@@ -1,15 +1,15 @@
-"""Tests for the CPU-parallel substrate: partitioning, the multi-worker
-executor, and the calibrated CPU scaling model."""
+"""Tests for the CPU-parallel substrate: partitioning, the sharded fleet
+tiers, and the calibrated CPU scaling model."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.multistart import starting_vectors
+from repro.util.rng import starting_vectors
 from repro.gpu.device import NEHALEM_2S, CpuSpec
 from repro.parallel.cpumodel import CpuPerfParams, predict_cpu_sshopm, speedup_curve
-from repro.parallel.executor import parallel_multistart_sshopm
+from repro.parallel.fleet import parallel_fleet_solve
 from repro.parallel.partition import (
     PartitionError,
     chunk_sizes,
@@ -99,38 +99,66 @@ class TestCostWeightedPartition:
 
 
 class TestExecutor:
+    """The thread tier of the sharded fleet (the paper's OpenMP loop)."""
+
     def test_worker_count_invariance(self, rng):
         """The merged result is identical for any worker count (the paper's
         OpenMP loop is embarrassingly parallel)."""
         batch = random_symmetric_batch(9, 4, 3, rng=rng)
         starts = starting_vectors(8, 3, rng=1)
-        base = parallel_multistart_sshopm(batch, workers=1, starts=starts,
-                                          alpha=8.0, max_iters=1500)
-        for workers in (2, 4, 9, 16):
-            rep = parallel_multistart_sshopm(batch, workers=workers, starts=starts,
-                                             alpha=8.0, max_iters=1500)
-            assert np.allclose(rep.result.eigenvalues, base.result.eigenvalues)
-            assert np.allclose(rep.result.eigenvectors, base.result.eigenvectors)
+        base = parallel_fleet_solve(batch, workers=1, starts=starts,
+                                    alpha=8.0, max_iters=1500)
+        for workers in (2, 4, 9):
+            rep = parallel_fleet_solve(batch, workers=workers, starts=starts,
+                                       alpha=8.0, max_iters=1500,
+                                       executor="thread")
+            np.testing.assert_array_equal(rep.result.eigenvalues,
+                                          base.result.eigenvalues)
+            np.testing.assert_array_equal(rep.result.eigenvectors,
+                                          base.result.eigenvectors)
             assert np.array_equal(rep.result.converged, base.result.converged)
 
     def test_chunk_metadata(self, rng):
         batch = random_symmetric_batch(10, 4, 3, rng=rng)
-        rep = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                         rng=2, max_iters=100)
+        rep = parallel_fleet_solve(batch, workers=3, num_starts=4, rng=2,
+                                   max_iters=100, executor="thread")
         assert rep.workers == 3
-        assert sum(rep.chunk_sizes) == 10
+        assert sum(rep.shard_sizes) == 10
         assert rep.seconds > 0
 
     def test_more_workers_than_tensors(self, rng):
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
-        rep = parallel_multistart_sshopm(batch, workers=8, num_starts=4,
-                                         rng=3, max_iters=100)
-        assert sum(rep.chunk_sizes) == 2
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            rep = parallel_fleet_solve(batch, workers=8, num_starts=4, rng=3,
+                                       max_iters=100, executor="thread")
+        assert sum(rep.shard_sizes) == 2
 
     def test_invalid_worker_count(self, rng):
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
         with pytest.raises(ValueError):
-            parallel_multistart_sshopm(batch, workers=0)
+            parallel_fleet_solve(batch, workers=0)
+
+    def test_thread_tier_honours_config(self, rng):
+        """Options left unset come from ``config`` on every tier, exactly as
+        :func:`~repro.engine.fleet.fleet_solve` resolves them."""
+        from repro.core.config import SolveConfig
+
+        batch = random_symmetric_batch(6, 4, 3, rng=rng)
+        for cfg in (SolveConfig(alpha=2.0, tol=1e-4, max_iters=50),
+                    SolveConfig(alpha=2.0, tol=0.0, max_iters=30)):
+            one = parallel_fleet_solve(batch, workers=1, rng=4, config=cfg)
+            two = parallel_fleet_solve(batch, workers=2, rng=4, config=cfg,
+                                       executor="thread")
+            assert two.result.sweeps <= cfg.max_iters
+            assert (two.result.shifts == cfg.alpha).all()
+            np.testing.assert_array_equal(two.result.shifts, one.result.shifts)
+            np.testing.assert_array_equal(two.result.eigenvalues,
+                                          one.result.eigenvalues)
+            np.testing.assert_array_equal(two.result.converged,
+                                          one.result.converged)
+            np.testing.assert_array_equal(two.result.iterations,
+                                          one.result.iterations)
+        assert not two.result.converged.any()  # tol=0.0 is honoured too
 
 
 class TestCpuModelAnchors:
@@ -208,56 +236,51 @@ class TestCpuModelShape:
 
 
 class TestHardenedExecutor:
-    """Crash-requeue and partial-failure behavior of the chunk executor."""
+    """Crash-requeue and partial-failure behavior of the process tier,
+    the fleet's hardened executor."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_shm(self):
+        from repro.parallel.shm import SHM_AVAILABLE
+
+        if not SHM_AVAILABLE:
+            pytest.skip("shared_memory unavailable")
 
     def _batch(self, tensors=6):
         return random_symmetric_batch(tensors, 4, 3, rng=np.random.default_rng(3))
 
+    def _solve(self, batch, workers=3, **kw):
+        return parallel_fleet_solve(batch, workers=workers, num_starts=4,
+                                    alpha=2.0, rng=np.random.default_rng(0),
+                                    **kw)
+
     def test_inject_hook_sees_every_chunk(self):
         batch = self._batch()
-        seen = []
-        parallel_multistart_sshopm(
-            batch, workers=3, num_starts=4, alpha=2.0,
-            rng=np.random.default_rng(0),
-            inject=lambda chunk, attempt: seen.append((chunk, attempt)),
-        )
-        assert sorted(seen) == [(0, 0), (1, 0), (2, 0)]
+        base = self._solve(batch, executor="thread")
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            rep = self._solve(batch, executor="process", steal=False,
+                              faults={0: "crash", 1: "crash", 2: "crash"})
+        # every shard's injected crash fired once and was requeued
+        assert rep.requeues == 3 and not rep.failed_shards
+        assert np.array_equal(rep.result.eigenvalues, base.result.eigenvalues)
 
     def test_crashed_chunk_requeues_to_same_result(self):
         batch = self._batch()
-        base = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                          alpha=2.0, rng=np.random.default_rng(0))
-        budget = {2: 1}
-
-        def inject(chunk, attempt):
-            if budget.get(chunk, 0) > attempt:
-                raise RuntimeError("synthetic worker death")
-
+        base = self._solve(batch, executor="thread")
         with pytest.warns(RuntimeWarning, match="degraded"):
-            rep = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0),
-                                             inject=inject)
-        assert rep.requeues == 1 and not rep.failures
+            rep = self._solve(batch, executor="process", faults={2: "crash"})
+        assert rep.requeues == 1 and not rep.failed_shards
         assert np.array_equal(rep.result.eigenvalues, base.result.eigenvalues)
         assert not rep.result.failed.any()
 
     def test_exhausted_chunk_reported_not_raised(self):
         batch = self._batch()
-
-        def always_crash(chunk, attempt):
-            if chunk == 1:
-                raise RuntimeError("persistent fault")
-
         with pytest.warns(RuntimeWarning):
-            rep = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0),
-                                             inject=always_crash,
-                                             max_requeues=1)
-        assert [f.chunk_index for f in rep.failures] == [1]
-        assert rep.failures[0].attempts == 2
-        lo, hi = rep.failures[0].tensor_range
+            rep = self._solve(batch, executor="process", faults={1: "crash"},
+                              max_requeues=0, steal=False)
+        assert rep.failed_shards == [1]
+        lo, hi = 2, 4  # shard 1 of an even three-way split of six tensors
+        assert rep.shard_sizes == [2, 2, 2]
         assert np.isnan(rep.result.eigenvalues[lo:hi]).all()
         assert rep.result.failed[lo:hi].all()
         assert not rep.result.failed[:lo].any()
@@ -267,38 +290,22 @@ class TestHardenedExecutor:
 
     def test_zero_requeues_budget(self):
         batch = self._batch()
-
-        def crash_once(chunk, attempt):
-            if chunk == 0 and attempt == 0:
-                raise RuntimeError("one-shot fault")
-
         with pytest.warns(RuntimeWarning):
-            rep = parallel_multistart_sshopm(batch, workers=2, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0),
-                                             inject=crash_once,
-                                             max_requeues=0)
+            rep = self._solve(batch, workers=2, executor="process",
+                              faults={0: "crash"}, max_requeues=0, steal=False)
         assert rep.requeues == 0
-        assert [f.chunk_index for f in rep.failures] == [0]
+        assert rep.failed_shards == [0]
 
     def test_partial_metrics_merge_from_crashed_chunk(self):
         from repro.instrument.metrics import use_registry
 
         batch = self._batch()
-
-        def crash_chunk_one(chunk, attempt):
-            if chunk == 1 and attempt == 0:
-                raise RuntimeError("dies after registry creation")
-
         with use_registry() as reg:
             with pytest.warns(RuntimeWarning):
-                parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                           alpha=2.0,
-                                           rng=np.random.default_rng(0),
-                                           inject=crash_chunk_one)
+                self._solve(batch, executor="process", faults={1: "crash"})
         names = {m["name"] for m in reg.snapshot()["metrics"]}
         assert "repro_requeues_total" in names
-        # solver metrics from the surviving + requeued chunks merged in
+        # solver metrics from the surviving + requeued shards merged in
         assert any(n.startswith("repro_solver") for n in names)
 
     def test_failed_lanes_counted_in_dead_lane_metric(self):
@@ -307,9 +314,7 @@ class TestHardenedExecutor:
         batch = self._batch(tensors=2)
         batch.values[:] = np.nan
         with use_registry() as reg:
-            rep = parallel_multistart_sshopm(batch, workers=2, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0))
+            rep = self._solve(batch, workers=2, executor="thread")
         assert rep.result.failed.all()
-        names = {m["name"] for m in reg.snapshot()["metrics"]}
-        assert "repro_multistart_dead_lanes_total" in names
+        retired = reg.get("repro_fleet_lanes_retired_total")
+        assert retired.labels(reason="failed").value == 8

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.core.config import SolveConfig
-from repro.core.multistart import starting_vectors
+from repro.util.rng import starting_vectors
 from repro.engine.fleet import FleetWorkspace, fleet_solve
 from repro.instrument.metrics import use_registry
 from repro.parallel.comm import (

@@ -125,7 +125,7 @@ def test_unrolled_equals_compressed_property(m, n, seed):
 @settings(max_examples=15)
 def test_sshopm_fixed_point_invariant(seed):
     """Converged SS-HOPM results satisfy the eigenpair equation."""
-    from repro.core.sshopm import sshopm, suggested_shift
+    from repro.solvers.sshopm import sshopm, suggested_shift
 
     t = random_symmetric_tensor(4, 3, rng=seed)
     res = sshopm(t, alpha=suggested_shift(t), rng=seed, tol=1e-13, max_iters=3000)

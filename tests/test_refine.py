@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.refine import newton_refine, refine_pairs
 from repro.core.solve import find_eigenpairs
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.symtensor.random import random_odeco_tensor, random_symmetric_tensor
 from repro.util.rng import random_unit_vector
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SolveConfig
-from repro.core.adaptive import adaptive_sshopm
-from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.adaptive import adaptive_sshopm
+from repro.engine.fleet import fleet_solve
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.instrument.metrics import use_registry
 from repro.resilience import (
     CKPT_SCHEMA,
@@ -201,8 +201,8 @@ def test_adaptive_guard_clean_run_unaffected(rng):
 
 def test_multistart_failed_mask_and_total_collapse(rng):
     batch = random_symmetric_batch(3, 4, 3, rng=rng)
-    res = multistart_sshopm(batch, num_starts=6, alpha=2.0, rng=1,
-                            telemetry=False)
+    res = fleet_solve(batch, num_starts=6, alpha=2.0, rng=1,
+                      telemetry=False)
     assert res.failed is not None
     assert res.failed.shape == res.eigenvalues.shape
     assert not res.failed.any()
@@ -210,13 +210,13 @@ def test_multistart_failed_mask_and_total_collapse(rng):
     nan_batch = random_symmetric_batch(2, 4, 3, rng=rng)
     nan_batch.values[:] = np.nan
     # without guards: legacy silent behavior, but the mask reports the dead lanes
-    res_bad = multistart_sshopm(nan_batch, num_starts=4, alpha=2.0, rng=1,
-                                telemetry=False)
+    res_bad = fleet_solve(nan_batch, num_starts=4, alpha=2.0, rng=1,
+                          telemetry=False)
     assert res_bad.failed.all()
     # with guards: total collapse is a structured failure
     with pytest.raises(SolveFailure) as exc:
-        multistart_sshopm(nan_batch, num_starts=4, alpha=2.0, rng=1,
-                          guards=True, telemetry=False)
+        fleet_solve(nan_batch, num_starts=4, alpha=2.0, rng=1,
+                    guards=True, telemetry=False)
     assert exc.value.reason == "collapse"
 
 

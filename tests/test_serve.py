@@ -761,6 +761,14 @@ def _serve_proc(args, cwd):
     )
 
 
+def _has_chunk_checkpoint(path) -> bool:
+    """True once ``path`` holds a job checkpoint with a completed chunk."""
+    try:
+        return bool(json.loads(path.read_text())["starts"])
+    except (OSError, ValueError, KeyError):
+        return False
+
+
 def _ready_base(proc):
     line = proc.stdout.readline()
     ready = json.loads(line)
@@ -794,8 +802,13 @@ class TestSoakSigtermDrainResume:
             base = _ready_base(proc)
             status, _, sub = _http("POST", base + "/solve", SOAK_SPEC)
             assert status == 202
-            _wait_for_status(base, sub["job"], "running")
-            time.sleep(0.6)  # a chunk or two in, several to go
+            # a chunk in, several to go: poll (bounded) for the job's
+            # first chunk checkpoint instead of sleeping and hoping
+            job_ckpt = ckpt / f"job-{sub['job']}.json"
+            deadline = time.time() + 60
+            while not _has_chunk_checkpoint(job_ckpt):
+                assert time.time() < deadline, "no chunk checkpoint in 60 s"
+                time.sleep(0.02)
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=120)
         finally:

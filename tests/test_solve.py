@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.solve import find_eigenpairs, find_eigenpairs_batch
-from repro.core.sshopm import suggested_shift
+from repro.solvers.sshopm import suggested_shift
 from repro.symtensor.random import (
     kolda_mayo_example_3x3x3,
     random_symmetric_batch,

@@ -30,9 +30,13 @@ class TestRouting:
         assert req.solver_name() == "adaptive_sshopm"
 
     def test_many_starts_route_to_multistart(self, tensor):
-        assert SolveRequest(tensor, starts=8).solver_name() == "multistart_sshopm"
+        """The multistart engine is the fleet; one tensor runs as a batch
+        of one."""
+        assert SolveRequest(tensor, starts=8).solver_name() == "fleet_solve"
         explicit = np.eye(3)
-        assert SolveRequest(tensor, starts=explicit).solver_name() == "multistart_sshopm"
+        assert SolveRequest(tensor, starts=explicit).solver_name() == "fleet_solve"
+        # sharding needs a batch: a single tensor never goes parallel
+        assert SolveRequest(tensor, starts=8, workers=3).solver_name() == "fleet_solve"
 
     def test_explicit_1d_start_routes_to_sshopm(self, tensor):
         req = SolveRequest(tensor, starts=np.array([1.0, 0.0, 0.0]))
@@ -49,7 +53,7 @@ class TestRouting:
     def test_solve_reports_the_routed_solver(self, tensor, batch):
         assert repro.solve(tensor, alpha=5.0, rng=0).solver == "sshopm"
         assert repro.solve(tensor, adaptive=True, rng=0).solver == "adaptive_sshopm"
-        assert repro.solve(tensor, starts=4, alpha=5.0, rng=0).solver == "multistart_sshopm"
+        assert repro.solve(tensor, starts=4, alpha=5.0, rng=0).solver == "fleet_solve"
         assert repro.solve(batch, starts=4, alpha=5.0, rng=0).solver == "fleet_solve"
         rep = repro.solve(batch, starts=4, alpha=5.0, rng=0, workers=2)
         assert rep.solver == "parallel_fleet_solve"
@@ -93,6 +97,28 @@ class TestReport:
                 assert conv[v]
                 assert lams[v] == pytest.approx(
                     single.result.eigenvalue, abs=1e-7)
+
+    def test_parallel_route_honours_config(self, batch):
+        """``workers=2`` resolves unset options from ``config`` exactly like
+        the single-worker route, an explicit ``tol=0.0`` included."""
+        from repro.core.config import SolveConfig
+
+        for cfg in (SolveConfig(alpha=2.0, tol=1e-4, max_iters=50),
+                    SolveConfig(alpha=2.0, tol=0.0, max_iters=30)):
+            one = repro.solve(batch, starts=8, rng=1, config=cfg).result
+            two = repro.solve(batch, starts=8, rng=1, config=cfg,
+                              workers=2).result
+            assert (two.shifts == cfg.alpha).all()
+            np.testing.assert_array_equal(two.eigenvalues, one.eigenvalues)
+            np.testing.assert_array_equal(two.converged, one.converged)
+            np.testing.assert_array_equal(two.iterations, one.iterations)
+        assert not two.converged.any()  # explicit tol=0.0 is honoured
+
+    def test_single_tensor_result_dedupes_against_tensor(self, tensor):
+        res = repro.solve(tensor, starts=8, alpha=5.0, rng=0).result
+        (given,) = res.eigenpairs(tensor)
+        (captured,) = res.eigenpairs()
+        assert [p.eigenvalue for p in given] == [p.eigenvalue for p in captured]
 
     def test_backend_alias_for_fleet_variant(self, batch):
         rep = repro.solve(batch, starts=4, alpha=5.0, rng=0,

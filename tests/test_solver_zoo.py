@@ -69,7 +69,7 @@ def found_spectrum(report_or_result, tensor=None):
     try:
         pairs = report_or_result.eigenpairs()
     except TypeError:
-        # MultistartResult wants the tensor to dedupe against
+        # a result without a captured batch wants the tensor to dedupe against
         pairs = report_or_result.eigenpairs(tensor)
     if pairs and isinstance(pairs[0], list):
         pairs = pairs[0]

@@ -4,7 +4,7 @@ behavior, matrix-case ground truth, kernel-variant independence."""
 import numpy as np
 import pytest
 
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.kernels.dispatch import get_kernels
 from repro.symtensor.random import (
     identity_like_tensor,

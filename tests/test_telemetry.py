@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import adaptive_sshopm, sshopm
-from repro.core.multistart import multistart_sshopm
+from repro.engine.fleet import fleet_solve
 from repro.instrument import Recorder, load_trace, recording
 from repro.instrument.telemetry import (
     COLUMNS,
@@ -130,10 +130,10 @@ class TestSolverAttachment:
 
     def test_multistart_aggregate_stream(self):
         batch = random_symmetric_batch(3, 3, 4, rng=3)
-        res = multistart_sshopm(batch, num_starts=6, alpha=1.0, max_iters=80,
-                                rng=4, telemetry=True)
+        res = fleet_solve(batch, num_starts=6, alpha=1.0, max_iters=80,
+                          rng=4, telemetry=True)
         tel = res.telemetry
-        assert tel.name == "multistart_sshopm"
+        assert tel.name == "fleet_solve"
         assert tel.meta["tensors"] == 3 and tel.meta["starts"] == 6
         active = tel.column("active")
         assert active[0] == 18  # every pair active on sweep 1
@@ -151,15 +151,14 @@ class TestSolverAttachment:
                                 rec.telemetry[0].to_dict())
 
     def test_worker_streams_namespaced_on_absorb(self):
-        from repro.parallel import parallel_multistart_sshopm
+        from repro.parallel import parallel_fleet_solve
 
         batch = random_symmetric_batch(4, 3, 4, rng=5)
         with recording() as rec:
-            parallel_multistart_sshopm(batch, workers=2, num_starts=4,
-                                       alpha=1.0, max_iters=40)
+            parallel_fleet_solve(batch, workers=2, num_starts=4,
+                                 alpha=1.0, max_iters=40, executor="thread")
         names = sorted(t.name for t in rec.telemetry)
-        assert names == ["worker0.multistart_sshopm",
-                         "worker1.multistart_sshopm"]
+        assert names == ["worker0.fleet_solve", "worker1.fleet_solve"]
 
     def test_nan_columns_serialize(self):
         tel = ConvergenceTelemetry("t")

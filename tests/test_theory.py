@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.eigenpairs import classify_eigenpair
 from repro.core.solve import find_eigenpairs
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.core.theory import (
     analyze_fixed_point,
     estimate_rate,

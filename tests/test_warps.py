@@ -95,12 +95,12 @@ class TestModelIntegration:
 
     def test_real_solver_divergence(self, rng):
         """Measured convergence data from the actual solver feeds through."""
-        from repro.core.multistart import multistart_sshopm
+        from repro.engine.fleet import fleet_solve
         from repro.symtensor.random import random_symmetric_batch
 
         batch = random_symmetric_batch(16, 4, 3, rng=rng)
-        res = multistart_sshopm(batch, num_starts=64, alpha=3.0, rng=1,
-                                tol=1e-8, max_iters=500)
+        res = fleet_solve(batch, num_starts=64, alpha=3.0, rng=1,
+                          tol=1e-8, max_iters=500)
         iters = np.maximum(res.iterations, 1)
         prof = warp_profile(iters)
         assert 0 < prof.simt_efficiency <= 1.0
