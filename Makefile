@@ -17,6 +17,7 @@ THRESHOLD ?= 0.2
 test: smoke-instrument api-check codegen-check  ## tier-1: instrumentation smoke, then the full suite
 	python -m pytest -x -q
 	$(MAKE) smoke-report
+	$(MAKE) bench-overhead
 	$(MAKE) events-check
 	$(MAKE) chaos
 	$(MAKE) serve-check

@@ -11,8 +11,8 @@ kinds:
   per-run wall seconds) with log-spaced buckets, exact count/sum/min/max,
   and **streaming percentiles**: each tracked quantile is estimated online
   by the P² algorithm of Jain & Chlamtac (no samples stored), falling back
-  to bucket interpolation after a merge (P² states do not merge; bucket
-  counts do, exactly).
+  to bucket interpolation after a merge or a batch observation (P² states
+  do not merge; bucket counts do, exactly).
 
 Metrics live in a :class:`MetricsRegistry`.  A process-wide default
 registry backs the module helpers; :func:`use_registry` installs a
@@ -343,6 +343,11 @@ class _HistogramSeries:
                 est.observe(value)
 
     def observe_many(self, values) -> None:
+        """Fold a batch in the way :meth:`merge` folds another series:
+        buckets, count, sum, min and max add exactly, and the P² markers
+        are invalidated, so percentiles come from bucket interpolation.
+        A batch thus costs a few numpy calls, not a Python P² update per
+        value."""
         import numpy as np
 
         arr = np.asarray(values, dtype=np.float64).ravel()
@@ -353,12 +358,10 @@ class _HistogramSeries:
         self.min = min(self.min, float(arr.min()))
         self.max = max(self.max, float(arr.max()))
         idx = np.searchsorted(self.bounds, arr, side="left")
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.bucket_counts[int(i)] += int(c)
-        if self._p2_valid:
-            for est in self._p2.values():
-                for v in arr:
-                    est.observe(float(v))
+        counts = np.bincount(idx, minlength=len(self.bucket_counts))
+        for i in np.flatnonzero(counts):
+            self.bucket_counts[int(i)] += int(counts[i])
+        self._p2_valid = False
 
     @property
     def mean(self) -> float:
@@ -368,9 +371,9 @@ class _HistogramSeries:
         """Streaming quantile estimate.
 
         Uses the live P² marker for a tracked quantile; otherwise (or after
-        a merge invalidated the markers) interpolates linearly inside the
-        bucket containing the target rank, clamped to the observed
-        [min, max] range.
+        a merge or a batch observation invalidated the markers)
+        interpolates linearly inside the bucket containing the target rank,
+        clamped to the observed [min, max] range.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")

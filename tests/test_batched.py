@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.kernels.batched import ax_m1_batched, ax_m_batched, monomials_batched
+from repro.kernels.batched import (
+    _lane_block,
+    ax_m1_batched,
+    ax_m_batched,
+    monomials_batched,
+)
 from repro.kernels.reference import ax_m1_dense, ax_m_dense
 from repro.kernels.tables import kernel_tables
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
@@ -44,6 +49,91 @@ class TestShapes:
         starts = rng.normal(size=(5, 3))
         y = ax_m_batched(batch.values[:, None, :], starts[None, :, :])
         assert y.shape == (3, 5)
+
+
+def _ax_m1_unblocked(values, x, tab):
+    """Frozen copy of the row-expansion kernel before lane blocking: every
+    lane at once, lanes first, reduced along the last axis.  The blocked
+    kernel must reproduce it bit for bit."""
+    values = np.asarray(values)
+    x = np.asarray(x)
+    f = x[..., tab.row_factors[:, 0]].copy()
+    for j in range(1, tab.m - 1):
+        f *= x[..., tab.row_factors[:, j]]
+    contrib = values[..., tab.row_class] * f
+    contrib *= tab.row_sigma.astype(contrib.dtype)
+    return np.add.reduceat(contrib, tab.out_starts[:-1], axis=-1)
+
+
+BLOCKING_SHAPES = [(2, 3), (3, 3), (4, 3), (4, 4), (3, 6), (6, 3), (5, 5),
+                   (2, 8), (8, 2)]
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _random(rng, shape, dtype):
+    # scaled so integer dtypes get more than the values -1, 0 and 1
+    return (4 * rng.normal(size=shape)).astype(dtype)
+
+
+# int32 pins the output dtype: np.add.reduceat widens small integers
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32])
+@pytest.mark.parametrize("shape", BLOCKING_SHAPES,
+                         ids=lambda p: f"m{p[0]}n{p[1]}")
+class TestLaneBlocking:
+    """The blocked, lanes-last ``A x^{m-1}`` kernel against the unblocked
+    formula, on both sides of every block edge."""
+
+    def test_lane_counts_around_block_edges(self, shape, dtype, rng):
+        m, n = shape
+        tab = kernel_tables(m, n)
+        block = _lane_block(tab.num_rows)
+        for lanes in (1, block - 1, block, block + 1, 3 * block + 7):
+            values = _random(rng, (lanes, tab.num_unique), dtype)
+            x = _random(rng, (lanes, n), dtype)
+            want = _ax_m1_unblocked(values, x, tab)
+            got = ax_m1_batched(values, x, tables=tab)
+            _assert_same_bits(got, want)
+            assert got.flags.c_contiguous
+            _assert_same_bits(
+                ax_m1_batched(np.asfortranarray(values), np.asfortranarray(x),
+                              tables=tab),
+                want,
+            )
+
+    def test_broadcast_forms(self, shape, dtype, rng):
+        m, n = shape
+        tab = kernel_tables(m, n)
+        block = _lane_block(tab.num_rows)
+        T, V = 3, block + 5  # every form spans several blocks
+        values = _random(rng, (T, 1, tab.num_unique), dtype)
+        x = _random(rng, (T, V, n), dtype)
+        lanes = _random(rng, (T * V, tab.num_unique), dtype)
+        for a, b in (
+            (values, x),                      # (T,1,U) x (T,V,n)
+            (values, np.asfortranarray(x)),
+            (values[0, 0], x[0]),             # (U,) x (V,n)
+            (lanes, x[0, 0]),                 # (A,U) x (n,)
+        ):
+            _assert_same_bits(ax_m1_batched(a, b, tables=tab),
+                              _ax_m1_unblocked(a, b, tab))
+
+    def test_lane_split_matches_whole_batch(self, shape, dtype, rng):
+        m, n = shape
+        tab = kernel_tables(m, n)
+        block = _lane_block(tab.num_rows)
+        lanes = 3 * block + 7
+        values = _random(rng, (lanes, tab.num_unique), dtype)
+        x = _random(rng, (lanes, n), dtype)
+        whole = ax_m1_batched(values, x, tables=tab)
+        for s, e in ((0, 1), (5, block + 9), (block - 3, 2 * block + 1),
+                     (2 * block, lanes)):
+            _assert_same_bits(ax_m1_batched(values[s:e], x[s:e], tables=tab),
+                              whole[s:e])
 
 
 class TestMonomials:

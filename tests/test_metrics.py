@@ -116,6 +116,22 @@ class TestHistogram:
         assert s1["count"] == s2["count"]
         assert s1["sum"] == pytest.approx(s2["sum"])
 
+    def test_observe_many_folds_like_a_merge(self):
+        """A batch folds in as a merge does: the P² markers are dropped and
+        percentiles come from bucket interpolation."""
+        rng = np.random.default_rng(4)
+        data = rng.uniform(0.01, 100.0, size=500)
+        batched = MetricsRegistry()
+        batched.histogram("h_seconds").observe_many(data)
+        scalar = MetricsRegistry()
+        for v in data:
+            scalar.histogram("h_seconds").observe(float(v))
+        merged = MetricsRegistry()
+        merged.merge(scalar)
+        for q in (0.5, 0.9, 0.99):
+            assert (batched.histogram("h_seconds").percentile(q)
+                    == merged.histogram("h_seconds").percentile(q))
+
     def test_default_buckets_are_sorted_125(self):
         b = default_buckets()
         assert list(b) == sorted(b)
