@@ -12,7 +12,7 @@ OLD ?= BENCH_old.json
 NEW ?= BENCH_new.json
 THRESHOLD ?= 0.2
 
-.PHONY: test api-check codegen-check smoke-instrument smoke-report chaos bench bench-overhead bench-smoke bench-compare fleet-bench events-check serve-check solver-check
+.PHONY: test api-check codegen-check smoke-instrument smoke-report chaos bench bench-overhead bench-smoke bench-compare fleet-bench kernel-bench events-check serve-check solver-check
 
 test: smoke-instrument api-check codegen-check  ## tier-1: instrumentation smoke, then the full suite
 	python -m pytest -x -q
@@ -44,6 +44,9 @@ bench:  ## paper reproduction benchmarks (slow)
 
 bench-overhead:  ## assert the <5% disabled-instrumentation budget
 	python -m pytest -q benchmarks/bench_instrument_overhead.py
+
+kernel-bench:  ## A x^{m-1} cost per call at 1-65,536 lanes -> benchmarks/results/kernel_lanes.txt (records only)
+	python -m pytest -q benchmarks/bench_kernel_lanes.py
 
 events-check:  ## event stream: <5% disabled budget + every line schema-valid
 	python -m pytest -q benchmarks/bench_events_overhead.py

@@ -138,6 +138,15 @@ def _as_batch(tensors) -> SymmetricTensorBatch:
     return tensors
 
 
+def _lane_values(values: np.ndarray, tensor_of: np.ndarray) -> np.ndarray:
+    """The ``(A, U)`` per-lane tensor values, held lanes-last: the
+    transpose of a C-contiguous ``(U, A)`` array, so each lane block of
+    the ``A x^{m-1}`` kernel gathers contiguous rows of lanes (see
+    :func:`repro.kernels.batched.ax_m1_batched`).  ``take`` because fancy
+    indexing ``values.T[:, tensor_of]`` would return lanes-first memory."""
+    return values.T.take(tensor_of, axis=1).T
+
+
 def _resolve_starts(starts, num_starts, n, scheme, rng, dtype) -> np.ndarray:
     # generated starts take the same normalization as explicit ones, so a
     # tier that generates the set and hands it on solves bit-identically
@@ -308,11 +317,7 @@ def fleet_solve(
     alpha_lane = np.full(L, alpha, dtype=np.float64)
     uniform_shift = not (osc_adaptive or geap_mode)           # scalar fast path
     any_neg = alpha < 0
-    lane_vals = values[tensor_of]                             # (A, U)
-    # one kernel per sweep: y = A x^{m-1} drives both the update and, via
-    # lambda = A x^m = x . y, the eigenvalue — no separate ax_m call
-    y = np.asarray(plan.ax_m1(lane_vals, x, counter=counter))
-    lam = np.einsum("ij,ij->i", x, y, dtype=np.float64)
+    lane_vals = _lane_values(values, tensor_of)               # (A, U)
     live = np.ones(L, dtype=bool)
     if osc_adaptive:
         bounds = suggested_shifts(tensors)                    # (T,)
@@ -360,6 +365,10 @@ def fleet_solve(
     t0 = time.perf_counter()
     with _span("fleet_solve"), np.errstate(invalid="ignore", over="ignore",
                                            divide="ignore"):
+        # one kernel per sweep: y = A x^{m-1} drives both the update and,
+        # via lambda = A x^m = x . y, the eigenvalue — no separate ax_m call
+        y = np.asarray(plan.ax_m1(lane_vals, x, counter=counter))
+        lam = np.einsum("ij,ij->i", x, y, dtype=np.float64)
         for _ in range(max_iters):
             if not live.any():
                 break
@@ -470,7 +479,7 @@ def fleet_solve(
                         y = y[live]
                         lam = lam[live]
                         alpha_lane = alpha_lane[live]
-                        lane_vals = values[tensor_of]
+                        lane_vals = _lane_values(values, tensor_of)
                         if osc_adaptive:
                             prev_delta = prev_delta[live]
                             osc = osc[live]
@@ -485,7 +494,7 @@ def fleet_solve(
             write_back(live, converged=False, failed=False)
 
         with _span("residuals"):
-            full_vals = values[np.arange(L) // V]
+            full_vals = _lane_values(values, np.arange(L) // V)
             y_all = np.asarray(plan.ax_m1(full_vals, out_x, counter=counter))
             residuals = np.linalg.norm(
                 y_all - out_lam[:, None] * out_x, axis=-1

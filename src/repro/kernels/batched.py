@@ -77,9 +77,19 @@ def ax_m1_batched(
     Implementation: the Figure-3 double loop is flattened into the
     precomputed row expansion (one row per (class, distinct index) pair,
     sorted by output entry), evaluated one block of lanes at a time with
-    lanes last: each block gathers its ``(R, B)`` rows from ``x.T`` and
-    ``values.T`` and segment-reduces them with ``np.add.reduceat``
-    straight into its slice of the C-contiguous ``(lanes, n)`` result.
+    lanes last: each block multiplies its gathered ``(R, B)`` value rows
+    by the remaining-factor products, scales them by ``sigma`` and
+    segment-reduces them with ``np.add.reduceat`` straight into its slice
+    of the C-contiguous ``(lanes, n)`` result.
+
+    Why ``K = R / n`` products: every output segment lists the same ``K``
+    remaining-factor tuples (the ``(m-1)``-multisets of the ``n``
+    indices) in the same order, so a block computes each distinct
+    product once, ``(K, B)``, and broadcasts it over the ``n`` segments
+    instead of multiplying out all ``R`` rows (10 of 30 at ``m=4, n=3``)
+    — the cross-row common subexpression the paper's unrolled-CSE
+    variant removes.  :func:`~repro.kernels.tables.tables_from_arrays`
+    rejects tables that break this layout.
 
     Why blocks: evaluating every lane at once builds ``(lanes, R)``
     temporaries that outgrow the L2 cache many times over (31 MB each for
@@ -87,8 +97,15 @@ def ax_m1_batched(
     each thread block's tensor on-chip, in shared memory, for the same
     reason.  ``B`` is derived from the row count so that each ``(R, B)``
     float64 temporary is about 512 KiB (:func:`_lane_block`).  Each
-    lane's products and sums run in the same order for any ``B``, so the
-    result does not depend on the blocking.
+    lane's products and sums run in the same order for any ``B``, and in
+    the same order as a row-by-row evaluation, so the result does not
+    depend on the blocking or on the shared products.
+
+    Why lanes-last values: a block gathers its value rows from
+    ``values[lanes].T``; when ``values`` is the transpose of a C-contiguous
+    ``(U, lanes)`` array (the fleet engine holds lane values that way)
+    each gathered row is one contiguous copy of ``B`` lanes instead of
+    ``B`` strided loads.  Any layout gives the same result.
     """
     counter = counter or null_counter()
     values = np.asarray(values)
@@ -104,18 +121,25 @@ def ax_m1_batched(
 
     lanes = len(x)
     dtype, out_dtype = _dtypes(values.dtype, x.dtype)
+    if values.dtype != dtype:  # the rows are scaled in place below
+        values = values.astype(dtype)
     out = np.empty((lanes, tab.n), dtype=out_dtype)
-    sigma = tab.row_sigma.astype(dtype)[:, None]
+    R, n = tab.num_rows, tab.n
+    K = R // n
+    factors = tab.row_factors[:K].T  # (m-1, K): segment 0's factor tuples
+    row_class = tab.row_class.reshape(n, K)
+    sigma = tab.row_sigma.astype(dtype).reshape(n, K, 1)
     starts = tab.out_starts[:-1]
-    block = _lane_block(tab.num_rows)
+    block = _lane_block(R)
     for s in range(0, lanes, block):
         xt = x[s:s + block].T  # (n, B)
-        f = xt[tab.row_factors[:, 0]]  # (R, B) remaining-factor products
-        for j in range(1, tab.m - 1):
-            f *= xt[tab.row_factors[:, j]]
-        contrib = values[s:s + block].T[tab.row_class] * f
+        # (K, B) remaining-factor products, multiplied left to right
+        f = np.multiply.reduce(xt[factors], axis=0, dtype=x.dtype)
+        contrib = values[s:s + block].T[row_class]  # (n, K, B) value rows
+        contrib *= f  # the same K products for every output segment
         contrib *= sigma
-        np.add.reduceat(contrib, starts, axis=0, out=out[s:s + block].T)
+        np.add.reduceat(contrib.reshape(R, -1), starts, axis=0,
+                        out=out[s:s + block].T)
     counter.add_flops(lanes * (tab.num_rows * (tab.m + 2)))
     return out.reshape(lead + (tab.n,))
 

@@ -16,7 +16,9 @@ shape (on the GPU the index array is shared by every thread block).
   loop flattened into ``R`` independent rows, one per (class, distinct index)
   pair, each carrying its coefficient ``sigma`` and the ``m-1`` remaining
   factor indices.  Rows are sorted by output entry so vectorized kernels can
-  segment-reduce with ``np.add.reduceat``.
+  segment-reduce with ``np.add.reduceat``; every output segment lists the
+  same ``R/n`` remaining-factor tuples, with the same ``sigma``, in the
+  same order.
 """
 
 from __future__ import annotations
@@ -139,6 +141,20 @@ def tables_from_arrays(m: int, n: int, arrays) -> KernelTables:
     ):
         raise ValueError(
             f"kernel table arrays are inconsistent for m={m}, n={n}"
+        )
+    # ax_m1_batched computes segment 0's K remaining-factor products once
+    # and reuses them for every output segment
+    K = R // n
+    factors, sigma = kw["row_factors"], kw["row_sigma"]
+    if (
+        R != K * n
+        or not np.array_equal(kw["out_starts"], K * np.arange(n + 1))
+        or (factors.reshape(n, K, m - 1) != factors[:K]).any()
+        or (sigma.reshape(n, K) != sigma[:K]).any()
+    ):
+        raise ValueError(
+            f"kernel table rows for m={m}, n={n} do not list the same "
+            "remaining factors and sigma in every output segment"
         )
     return KernelTables(m=m, n=n, **kw)
 

@@ -10,8 +10,9 @@ from repro.kernels.batched import (
     monomials_batched,
 )
 from repro.kernels.reference import ax_m1_dense, ax_m_dense
-from repro.kernels.tables import kernel_tables
+from repro.kernels.tables import kernel_tables, tables_from_arrays, tables_to_arrays
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
+from repro.util.combinatorics import num_unique_entries
 from repro.util.flopcount import FlopCounter
 
 
@@ -65,8 +66,9 @@ def _ax_m1_unblocked(values, x, tab):
     return np.add.reduceat(contrib, tab.out_starts[:-1], axis=-1)
 
 
-BLOCKING_SHAPES = [(2, 3), (3, 3), (4, 3), (4, 4), (3, 6), (6, 3), (5, 5),
-                   (2, 8), (8, 2)]
+# (2, 1) has single-row output segments; (5, 8) has 330 rows per segment
+BLOCKING_SHAPES = [(2, 1), (2, 3), (3, 3), (4, 3), (4, 4), (3, 6), (6, 3),
+                   (5, 5), (2, 8), (8, 2), (5, 8)]
 
 
 def _assert_same_bits(got, want):
@@ -104,6 +106,16 @@ class TestLaneBlocking:
                               tables=tab),
                 want,
             )
+
+    def test_mixed_value_and_vector_dtypes(self, shape, dtype, rng):
+        m, n = shape
+        tab = kernel_tables(m, n)
+        lanes = _lane_block(tab.num_rows) + 1
+        for x_dtype in (np.float64, np.float32, np.int32):
+            values = _random(rng, (lanes, tab.num_unique), dtype)
+            x = _random(rng, (lanes, n), x_dtype)
+            _assert_same_bits(ax_m1_batched(values, x, tables=tab),
+                              _ax_m1_unblocked(values, x, tab))
 
     def test_broadcast_forms(self, shape, dtype, rng):
         m, n = shape
@@ -214,7 +226,29 @@ class TestFlopCounter:
         assert c.flops == tab.num_rows * 6  # (m+2) per row
 
 
+# every order and dimension up to 8 but (8, 8), whose 6,435 unique entries
+# make it the slowest table build by far
+SEGMENT_LAYOUT_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 9)
+                         if num_unique_entries(m, n) <= 5000]
+
+
 class TestKernelTables:
+    @pytest.mark.parametrize("shape", SEGMENT_LAYOUT_SHAPES,
+                             ids=lambda p: f"m{p[0]}n{p[1]}")
+    def test_segments_share_one_factor_layout(self, shape):
+        """ax_m1_batched reuses segment 0's K remaining-factor products for
+        every output segment; the disk-cache loader accepts the layout."""
+        m, n = shape
+        tab = kernel_tables(m, n)
+        K, rem = divmod(tab.num_rows, n)
+        assert rem == 0
+        assert np.array_equal(tab.out_starts, K * np.arange(n + 1))
+        factors = tab.row_factors.reshape(n, K, m - 1)
+        assert (factors == factors[0]).all()
+        assert (tab.row_sigma.reshape(n, K) == tab.row_sigma[:K]).all()
+        assert len({tuple(f) for f in factors[0]}) == K  # all distinct
+        tables_from_arrays(m, n, tables_to_arrays(tab))
+
     def test_row_expansion_sorted_by_output(self, size):
         m, n = size
         tab = kernel_tables(m, n)

@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.instrument.events import read_events
 from repro.resilience import (
     FaultPlan,
     InjectedWorkerCrash,
@@ -41,6 +42,14 @@ def _has_chunk_checkpoint(path) -> bool:
     try:
         return bool(json.loads(path.read_text())["starts"])
     except (OSError, ValueError, KeyError):
+        return False
+
+
+def _shard_started(path) -> bool:
+    """True once the event spool at ``path`` records a ``shard_start``."""
+    try:
+        return any(rec["ev"] == "shard_start" for rec in read_events(path))
+    except OSError:
         return False
 
 
@@ -364,25 +373,31 @@ class TestProcessFleetChaos:
             "print('READY', flush=True)\n"
             "parallel_fleet_solve(batch, workers=2, num_starts=32, rng=1,\n"
             "                     alpha=6.0, tol=0.0, max_iters=2000,\n"
-            "                     executor='process')\n"
+            "                     executor='process', events=sys.argv[1])\n"
             "print('FINISHED', flush=True)\n"
         )
+        events = tmp_path / "sigint_events.jsonl"
         proc = subprocess.Popen(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, str(events)],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             cwd=str(ROOT),
         )
         try:
             assert proc.stdout.readline().strip() == "READY"
-            _time.sleep(1.0)  # let publish + worker spawn happen
+            # mid-flight means a worker has claimed its first shard, so
+            # the segments are published and the solve is running
+            deadline = _time.time() + 60
+            while not _shard_started(events):
+                assert _time.time() < deadline, "no shard_start event in 60 s"
+                _time.sleep(0.02)
             proc.send_signal(_signal.SIGINT)
             out, _ = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        # interrupted (no FINISHED) or finished early — either way, clean
+        assert "FINISHED" not in out
         assert active_segments() == []
 
 

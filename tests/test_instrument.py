@@ -168,7 +168,13 @@ class TestFlopAgreement:
         assert counter.flops > 0
         assert rec.total("flops") == counter.flops
         assert rec.total("bytes") > 0  # traffic estimate recorded
-        assert rec.find("fleet_solve/sweep/kernel.vectorized.ax_m1").count == 50
+        kernel = "kernel.vectorized.ax_m1"
+        assert rec.find(f"fleet_solve/sweep/{kernel}").count == 50
+        # every kernel call, the first one included, sits inside the fleet
+        assert not any(name.startswith("kernel.") for name in rec.root.children)
+        calls = sum(node.count for _, node in rec.find("fleet_solve").walk()
+                    if node.name == kernel)
+        assert calls == 1 + 50 + 1  # first call, sweeps, residual pass
 
     def test_trace_without_counter_still_counts(self):
         tensor = random_symmetric_tensor(3, 3, rng=0)

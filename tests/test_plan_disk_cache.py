@@ -14,7 +14,7 @@ from repro.kernels import diskcache
 from repro.kernels.codegen import CODEGEN_VERSION
 from repro.kernels.plan import clear_plan_cache, get_plan
 from repro.kernels.reference import ax_m1_dense
-from repro.kernels.tables import kernel_tables
+from repro.kernels.tables import kernel_tables, tables_from_arrays
 from repro.symtensor.random import random_symmetric_tensor
 
 M, N, VARIANT = 3, 4, "unrolled_cse"
@@ -112,6 +112,25 @@ class TestCorruptionRecovery:
             assert diskcache.load_entry(M, N, VARIANT, "numpy") is None
             assert _events(reg)("schema_mismatch") == 1
         assert not json_path.exists()
+
+    def test_swapped_segment_rows_are_rejected(self, cache_dir):
+        """Swapping two rows of output segment 1 keeps every shape check
+        but breaks the one factor layout all segments must share."""
+        _store()
+        key = diskcache.entry_key(M, N, VARIANT, "numpy")
+        npz = cache_dir / f"{key}.npz"
+        with np.load(npz) as archive:
+            arrays = {name: archive[name].copy() for name in archive.files}
+        K = int(arrays["out_starts"][1])
+        for name in ("row_out", "row_class", "row_sigma", "row_factors"):
+            arrays[name][[K, K + 1]] = arrays[name][[K + 1, K]]
+        with pytest.raises(ValueError, match="every output segment"):
+            tables_from_arrays(M, N, arrays)
+        np.savez(npz, **arrays)
+        with use_registry() as reg:
+            assert diskcache.load_entry(M, N, VARIANT, "numpy") is None
+            assert _events(reg)("corrupt") == 1
+        assert not npz.exists()
 
     def test_codegen_version_mismatch_invalidates(self, cache_dir):
         _store()
