@@ -1,5 +1,7 @@
 """CLI tests (invoking main() in-process and checking output/exit codes)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,6 +28,35 @@ class TestSpectrum:
         assert main(["spectrum", "--example", "--starts", "16",
                      "--alpha", "6.0"]) == 0
 
+
+
+def _pair_table(out):
+    """The eigenpair table of ``repro solve``: its header and pair rows."""
+    lines = out.splitlines()
+    first = next(i for i, line in enumerate(lines) if "stability" in line)
+    return [line for line in lines[first:]
+            if not line.startswith("checkpoint:")]
+
+
+class TestSolveResume:
+    def test_resume_from_trimmed_checkpoint(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        args = ["solve", "--m", "4", "--n", "3", "--seed", "7",
+                "--starts", "32"]
+        assert main(args + ["--checkpoint", str(ck)]) == 0
+        full = capsys.readouterr().out
+        assert "resumed from checkpoint: 0" in full
+
+        # an interrupted life: only starts 0-19 reached the checkpoint
+        state = json.loads(ck.read_text())
+        state["starts"] = {k: v for k, v in state["starts"].items()
+                           if int(k) < 20}
+        ck.write_text(json.dumps(state))
+        assert main(args + ["--resume", str(ck)]) == 0
+        resumed = capsys.readouterr().out
+        assert "resumed from checkpoint: 20" in resumed
+        assert _pair_table(resumed) == _pair_table(full)
+        assert len(json.loads(ck.read_text())["starts"]) == 32
 
 class TestPhantomDetect:
     def test_phantom_then_detect(self, tmp_path, capsys):
