@@ -20,13 +20,13 @@ every byte of tensor payload out of the pipes:
   a dict of floats.  Per-worker metrics come back as one registry
   snapshot at exit and merge through the standard snapshot/merge path.
 
-Crash discipline matches the hardened thread executor: a worker that
-dies mid-shard (or raises, e.g. an injected
-:class:`~repro.resilience.faults.InjectedWorkerCrash`) gets its claimed
-shard requeued on the survivors up to ``max_requeues`` times — run
-inline in the parent if nobody survives — and a shard that exhausts its
-budget is written off as NaN/failed placeholder rows, never silently
-dropped.
+Crash discipline: a worker that dies mid-shard (or raises, e.g. an
+injected :class:`~repro.resilience.faults.InjectedWorkerCrash`) gets its
+claimed shard requeued on the survivors up to ``max_requeues`` times —
+run inline in the parent if nobody survives — and a shard that exhausts
+its budget is written off as NaN/failed placeholder rows, never silently
+dropped.  The requeue-or-write-off decision is the resilient runner's
+too (:func:`~repro.resilience.retry.requeue_or_write_off`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import os
 import pickle
 import signal
 import time
-import warnings
 from queue import Empty
 
 import numpy as np
@@ -61,6 +60,7 @@ from repro.instrument.metrics import (
     use_registry,
 )
 from repro.parallel.shm import SharedResultBlock, SharedTensorStore
+from repro.resilience.retry import requeue_or_write_off
 from repro.symtensor.storage import SymmetricTensorBatch
 
 __all__ = ["default_start_method", "process_fleet_solve"]
@@ -310,14 +310,12 @@ def process_fleet_solve(
         return stop is not None and stop()
 
     state = {
-        sid: {"range": (r.start, r.stop), "attempts": 0, "claimed_by": None,
-              "meta": None}
+        sid: {"range": (r.start, r.stop), "claimed_by": None, "meta": None}
         for sid, r in enumerate(shards)
     }
     done: set[int] = set()
     failed: set[int] = set()
-    requeues = 0
-    warned_degraded = False
+    crashes: dict[int, int] = {}
     snapshots: list[dict] = []
     worker_traces: dict[int, dict] = {}
 
@@ -373,26 +371,16 @@ def process_fleet_solve(
                   fields={"run": run_id, "shard": sid})
 
     def handle_lost_shard(sid: int, error: str) -> None:
-        nonlocal requeues, warned_degraded
-        st = state[sid]
-        st["claimed_by"] = None
-        st["attempts"] += 1
-        budget_left = st["attempts"] <= max_requeues
-        if not warned_degraded:
-            warned_degraded = True
-            warnings.warn(
-                f"fleet worker died on shard {sid} ({error}); "
-                + ("requeueing — running in degraded mode" if budget_left
-                   else "requeue budget exhausted"),
-                RuntimeWarning, stacklevel=3)
-        if not budget_left:
+        state[sid]["claimed_by"] = None
+        if not requeue_or_write_off(
+                crashes, sid, max_requeues,
+                f"fleet worker died on shard {sid} ({error})"):
             write_off(sid)
             return
-        requeues += 1
-        _emit("requeue", shard=sid, attempt=st["attempts"])
+        _emit("requeue", shard=sid, attempt=crashes[sid])
         _log.warning("worker died on shard; requeueing",
                      fields={"run": run_id, "shard": sid, "error": error,
-                             "attempt": st["attempts"]})
+                             "attempt": crashes[sid]})
         if alive:
             enqueue(sid)  # fault injected on first attempt only
         else:
@@ -520,11 +508,7 @@ def process_fleet_solve(
     reg = get_registry()
     for snap in snapshots:
         reg.merge(snap)
-    if requeues:
-        reg.counter(
-            "repro_requeues_total",
-            "Crashed sweep tasks rescheduled on a surviving worker",
-        ).inc(requeues)
+    requeues = sum(min(c, max_requeues) for c in crashes.values())
     if failed:
         reg.counter(
             "repro_chunk_failures_total",

@@ -1,9 +1,10 @@
 """Schema-versioned, atomically written sweep checkpoints.
 
 A long multistart sweep (the paper's V=128 starting vectors, scaled up)
-should survive interruption: the resilient runner periodically writes a
-``repro-ckpt/1`` JSON document of every completed start plus the sweep's
-RNG root, and ``repro solve --resume <ckpt>`` skips the finished starts.
+should survive interruption: :func:`run_chunks` solves it in chunks and
+records each chunk in a ``repro-ckpt/1`` JSON document, next to the
+sweep's RNG root, and a resumed run (``repro solve --resume <ckpt>``, a
+restarted serve job) skips the recorded keys.
 Because per-start randomness is derived from ``SeedSequence`` spawn keys
 (:func:`repro.util.rng.spawn_rng`), a resumed sweep is bit-for-bit
 identical to an uninterrupted one regardless of where it was cut.
@@ -30,6 +31,7 @@ __all__ = [
     "atomic_write_json",
     "new_checkpoint",
     "read_checkpoint",
+    "run_chunks",
     "tensor_fingerprint",
     "write_checkpoint",
 ]
@@ -171,8 +173,9 @@ def read_checkpoint(path, max_bytes: int = MAX_CHECKPOINT_BYTES) -> dict:
 def check_resumable(state: dict, *, fingerprint: str, num_starts: int,
                     seed: int, alpha: float, tol: float, max_iters: int) -> None:
     """Verify a loaded checkpoint belongs to *this* sweep; mismatch in
-    tensor contents or solve parameters raises :class:`ValueError` (a
-    resumed sweep must be bit-identical to the uninterrupted one)."""
+    tensor contents or solve parameters, or a checkpoint older than 2.0,
+    raises :class:`ValueError` (a resumed sweep must be bit-identical to
+    the uninterrupted one)."""
     run = state["run"]
     if run["fingerprint"] != fingerprint:
         raise ValueError(
@@ -187,3 +190,29 @@ def check_resumable(state: dict, *, fingerprint: str, num_starts: int,
                 f"checkpoint {key}={run[key]!r} does not match this run's "
                 f"{key}={value!r}; resuming would change results"
             )
+    version = str(run.get("version") or "0")
+    major = version.split(".")[0]
+    if not major.isdigit() or int(major) < 2:
+        # a 1.x per-start runner's starts: resuming would mix engines
+        raise ValueError(
+            f"checkpoint was written by repro {version}, whose per-start "
+            f"runner predates the 2.0 fleet runner; rerun without resume")
+
+
+def run_chunks(state: dict, keys, size: int, solve, *, save=None,
+               stop=None) -> bool:
+    """Solve the ``keys`` missing from ``state["starts"]`` in chunks of
+    ``size``: poll ``stop()`` before each chunk, record the ``{str(key):
+    record}`` that ``solve(chunk)`` returns (``None`` drops a cancelled
+    chunk), then ``save()``.  False when ``stop`` or a cancel ended it."""
+    pending = [key for key in keys if str(key) not in state["starts"]]
+    for lo in range(0, len(pending), size):
+        if stop is not None and stop():
+            return False
+        records = solve(pending[lo:lo + size])
+        if records is None:
+            return False
+        state["starts"].update(records)
+        if save is not None:
+            save()
+    return True

@@ -18,6 +18,7 @@ callers wrapping flaky external resources).
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +27,7 @@ import numpy as np
 from repro.resilience.guards import SolveFailure
 
 __all__ = ["RetryExhausted", "RetryOutcome", "RetryPolicy", "escalate_shift",
-           "run_with_retry"]
+           "requeue_or_write_off", "run_with_retry"]
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,28 @@ def _record_attempt(solver: str, reason: str) -> None:
         "Solver attempts that failed and were retried",
         ("solver", "reason"),
     ).labels(solver=solver, reason=reason).inc()
+
+
+def requeue_or_write_off(crashes: dict, key, max_requeues: int,
+                         crash: str) -> bool:
+    """Count a crash of ``key`` (a sweep start or a process-tier shard) in
+    the run's ``crashes`` tally: True to requeue it, False to write it off
+    past ``max_requeues``.  The run's first crash warns with the outcome."""
+    from repro.instrument.metrics import get_registry
+
+    crashes[key] = crashes.get(key, 0) + 1
+    requeue = crashes[key] <= max_requeues
+    if sum(crashes.values()) == 1:
+        warnings.warn(
+            f"{crash}; " + ("requeueing — running in degraded mode" if requeue
+                            else "requeue budget exhausted"),
+            RuntimeWarning, stacklevel=2)
+    if requeue:
+        get_registry().counter(
+            "repro_requeues_total",
+            "Crashed sweep tasks rescheduled on a surviving worker",
+        ).inc()
+    return requeue
 
 
 def run_with_retry(

@@ -12,12 +12,13 @@ that re-run the chunk's failed or unconverged lanes at an escalated shift
   ``escalate_shift(alpha, a, suggested_shift(tensor))``, and gets an
   iteration budget scaled with the shift (:mod:`repro.resilience.retry`);
 * a start whose admission crashes (or whose fleet call raises) is
-  requeued, up to a bounded budget, with a degraded-mode warning;
+  requeued or written off by the process tier's policy
+  (:func:`~repro.resilience.retry.requeue_or_write_off`);
 * an unrecoverable start is *reported* (``failed_starts``) instead of
   poisoning the sweep;
-* a checkpoint (:mod:`repro.resilience.checkpoint`) is written after every
-  chunk, and a resumed sweep reproduces the uninterrupted one
-  bit-for-bit.
+* the chunks run through :func:`~repro.resilience.checkpoint.run_chunks`,
+  which writes a checkpoint after every chunk, and a resumed sweep
+  reproduces the uninterrupted one bit-for-bit.
 
 Determinism across chunk sizes and resume points holds because fleet
 lanes never interact: a lane's result depends only on its start vector,
@@ -26,7 +27,6 @@ shift and budget, never on which other lanes shared its fleet call.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +42,17 @@ from repro.resilience.checkpoint import (
     check_resumable,
     new_checkpoint,
     read_checkpoint,
+    run_chunks,
     tensor_fingerprint,
     write_checkpoint,
 )
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy, _record_attempt, escalate_shift
+from repro.resilience.retry import (
+    RetryPolicy,
+    _record_attempt,
+    escalate_shift,
+    requeue_or_write_off,
+)
 from repro.solvers.sshopm import suggested_shift
 from repro.symtensor.storage import SymmetricTensor
 from repro.util.rng import random_unit_vector, spawn_rng
@@ -241,28 +247,16 @@ def resilient_multistart(
     safe_shift = suggested_shift(tensor)
     fingerprint = tensor_fingerprint(tensor)
 
-    completed: dict[int, StartReport] = {}
-    state = new_checkpoint(
-        fingerprint=fingerprint, num_starts=num_starts, seed=seed,
-        alpha=alpha, tol=tol, max_iters=max_iters, source=checkpoint_source,
-    )
-    resumed = 0
     if resume:
         state = read_checkpoint(checkpoint)
         check_resumable(state, fingerprint=fingerprint, num_starts=num_starts,
                         seed=seed, alpha=alpha, tol=tol, max_iters=max_iters)
-        version = str(state["run"].get("version") or "0")
-        major = version.split(".")[0]
-        if not major.isdigit() or int(major) < 2:
-            # a 1.x per-start runner's starts: resuming would mix engines
-            raise ValueError(
-                f"checkpoint was written by repro {version}, whose per-start "
-                f"runner predates the 2.0 fleet runner; rerun without resume")
-        for key, doc in state["starts"].items():
-            index = int(key)
-            if 0 <= index < num_starts:
-                completed[index] = StartReport.from_doc(index, doc)
-        resumed = len(completed)
+    else:
+        state = new_checkpoint(
+            fingerprint=fingerprint, num_starts=num_starts, seed=seed,
+            alpha=alpha, tol=tol, max_iters=max_iters,
+            source=checkpoint_source)
+    resumed = sum(str(s) in state["starts"] for s in range(num_starts))
 
     registry = get_registry()
     starts_failed = registry.counter(
@@ -344,28 +338,23 @@ def resilient_multistart(
     def crashed(s: int, exc: BaseException, reports: dict) -> bool:
         """Count a crash of start ``s``; True when it may be requeued,
         else its crash report lands in ``reports``."""
-        count = requeues[s] = requeues.get(s, 0) + 1
         error = f"{type(exc).__name__}: {exc}"
-        if sum(requeues.values()) == 1:
-            warnings.warn(
-                f"sweep start {s} crashed ({error}); requeueing — running "
-                f"in degraded mode", RuntimeWarning, stacklevel=4)
+        requeue = requeue_or_write_off(requeues, s, max_requeues,
+                                       f"sweep start {s} crashed ({error})")
         _log.warning("sweep start crashed",
-                     fields={"start": s, "attempt": count, "error": error})
-        if count <= max_requeues:
-            registry.counter(
-                "repro_requeues_total",
-                "Crashed sweep tasks rescheduled on a surviving worker",
-            ).inc()
+                     fields={"start": s, "attempt": requeues[s],
+                             "error": error})
+        if requeue:
             return True
         starts_failed.inc()
         reports[s] = StartReport(
             index=s, eigenvalue=float("nan"), eigenvector=np.zeros(n),
             converged=False, iterations=0, residual=float("nan"), attempts=0,
-            alpha=float("nan"), requeues=count - 1, error=f"crash: {error}")
+            alpha=float("nan"), requeues=requeues[s] - 1,
+            error=f"crash: {error}")
         return False
 
-    def run_chunk(chunk: list[int]) -> dict[int, StartReport]:
+    def run_chunk(chunk: list[int]) -> dict[str, dict]:
         reports: dict[int, StartReport] = {}
         todo = chunk
         while todo:
@@ -384,23 +373,18 @@ def resilient_multistart(
             except Exception as exc:
                 again += [s for s in admitted if crashed(s, exc, reports)]
             todo = again
-        return reports
+        return {str(s): report.to_doc() for s, report in reports.items()}
 
     with _span("resilient_multistart"):
-        pending = [s for s in range(num_starts) if s not in completed]
-        for lo in range(0, len(pending), checkpoint_every):
-            for report in run_chunk(pending[lo:lo + checkpoint_every]).values():
-                completed[report.index] = report
-                state["starts"][str(report.index)] = report.to_doc()
-            if checkpoint is not None:
-                write_checkpoint(checkpoint, state)
-        if checkpoint is not None and not pending:
-            write_checkpoint(checkpoint, state)
+        run_chunks(state, range(num_starts), checkpoint_every, run_chunk,
+                   save=None if checkpoint is None
+                   else lambda: write_checkpoint(checkpoint, state))
 
     result = ResilientSweepResult(
         tensor=tensor,
         num_starts=num_starts,
-        reports=[completed[s] for s in sorted(completed)],
+        reports=[StartReport.from_doc(s, state["starts"][str(s)])
+                 for s in range(num_starts)],
         resumed=resumed,
         requeues=sum(min(c, max_requeues) for c in requeues.values()),
         checkpoint_path=checkpoint,

@@ -214,6 +214,27 @@ def test_requeue_budget_exhaustion_reports_start(tensor):
     assert sum(r.converged for r in res.reports) == 7
 
 
+def test_zero_requeue_budget_warns_write_off(tensor):
+    """With no requeue budget the first crash is written off, and the
+    warning says so instead of announcing a requeue."""
+    plan = FaultPlan(seed=CHAOS_SEED, crashes={5: 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = resilient_multistart(tensor, num_starts=8, alpha=2.0,
+                                   seed=CHAOS_SEED, faults=plan,
+                                   max_requeues=0)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    assert len(messages) == 1
+    assert "start 5 crashed" in messages[0]
+    assert "requeue budget exhausted" in messages[0]
+    assert "degraded" not in messages[0]
+    rep = next(r for r in res.reports if r.index == 5)
+    assert rep.error.startswith("crash: InjectedWorkerCrash")
+    assert rep.requeues == 0 and res.requeues == 0
+    assert res.failed_starts == [5]
+
+
 def test_slow_task_fault_executes(tensor):
     plan = FaultPlan(seed=CHAOS_SEED, slow={0: 0.01})
     res = resilient_multistart(tensor, num_starts=2, alpha=2.0,
