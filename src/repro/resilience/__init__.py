@@ -7,9 +7,9 @@ package turns each of those into a structured, recoverable event:
 * :mod:`~repro.resilience.guards` — per-iteration numerical watchdogs
   raising :class:`SolveFailure` instead of returning silent garbage;
 * :mod:`~repro.resilience.retry` — per-start retry with shift
-  escalation and seeded, jittered backoff;
+  escalation, seeded jittered backoff and the requeue/write-off policy;
 * :mod:`~repro.resilience.checkpoint` — schema-versioned atomic
-  checkpoints of completed starts, for bit-for-bit resume;
+  checkpoints and the checkpointed-chunk loop, for bit-for-bit resume;
 * :mod:`~repro.resilience.retention` — newest-first checkpoint pruning
   (``repro ckpt gc``; ``repro serve --keep N``) so resume loops don't
   grow the checkpoint directory unboundedly;
