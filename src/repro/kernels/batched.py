@@ -149,8 +149,10 @@ _BLOCK_BYTES = 512 * 1024
 
 
 def _lane_block(num_rows: int) -> int:
-    """Lanes per block of :func:`ax_m1_batched` for ``num_rows`` rows: a
-    few ``(R, B)`` temporaries of :data:`_BLOCK_BYTES` each fit a 4 MiB L2."""
+    """Lanes per block of :func:`ax_m1_batched` for ``num_rows`` rows: the
+    ``(R, B)`` value rows of :data:`_BLOCK_BYTES` and the smaller factor
+    temporaries beside them (under 1.2 MiB together at ``m=4, n=3``) fit
+    a 2 MiB per-core L2."""
     return max(1, _BLOCK_BYTES // (8 * num_rows))
 
 

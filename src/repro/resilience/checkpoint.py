@@ -54,16 +54,19 @@ def tensor_fingerprint(tensor) -> str:
 
 
 def atomic_write_json(path, doc: dict) -> Path:
-    """Write ``doc`` as JSON via temp-file-then-rename in ``path``'s
-    directory, so readers never observe a partial file."""
+    """Write ``doc`` as one line of JSON via temp-file-then-rename in
+    ``path``'s directory, so readers never observe a partial file.
+
+    One ``json.dumps`` call without ``indent`` is the form CPython
+    serialises with its C encoder; ``json.dump`` and ``indent`` take the
+    pure-Python encoder, which holds the interpreter lock far longer."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=path.parent or "."
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(doc) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)

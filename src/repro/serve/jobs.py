@@ -353,41 +353,41 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
         if first:
             observe_serve_degraded()
 
-    # Chaos fault keys live in a job-global shard-id space: the shard ids
-    # of each chunk's fleet run, concatenated in chunk order.  Each run's
-    # report tells us how many shards it actually used, so keys are
-    # rebased as chunks complete and a fault lands on whichever chunk run
-    # contains its shard.  (After a resume the skipped chunks' shard
+    # Fleet chaos fault keys live in a job-global shard-id space: the
+    # shard ids of each chunk's fleet run, concatenated in chunk order.
+    # Each run's report tells us how many shards it actually used, so keys
+    # are rebased as chunks complete and a fault lands on whichever chunk
+    # run contains its shard.  (After a resume the skipped chunks' shard
     # counts are unknown, so fault placement is exact only within one
-    # process life — fine for chaos injection.)
+    # process life — fine for chaos injection.)  QRST has no shards: its
+    # fault keys are job-global tensor indices.
     shards_seen = 0
 
     def solve_chunk(keys: list[int]) -> dict | None:
         nonlocal shards_seen, deadline_cut
-        executor = spec.executor
-        if executor in ("process", "auto") and breaker is not None \
-                and not breaker.allow():
-            executor = "thread"
-            degrade()
         sub = batch.subset(np.asarray(keys))
-        faults = None
-        if spec.faults:
-            faults = {k - shards_seen: v for k, v in spec.faults.items()
-                      if k >= shards_seen} or None
         if spec.method == "qrst":
             from repro.solvers.qrst import qrst_batch
 
             # QRST factors each tensor whole (dense QR sweeps), so a chunk
-            # runs in-process as one shard that the breaker never judges;
-            # its chaos fault keys become per-tensor crash budgets
+            # runs in-process and never asks the breaker; a faulted tensor
+            # gets a crash budget at its position in the chunk
+            crashes = {i: 1 for i, t in enumerate(keys) if t in spec.faults}
             result = qrst_batch(
                 sub, num_starts=V, tol=spec.tol, max_iters=spec.max_iters,
                 rng=spec.seed, stop=stopped, guards=True,
-                faults=(FaultPlan(seed=spec.seed,
-                                  crashes={k: 1 for k in faults})
-                        if faults else None))
-            shards_seen += 1
+                faults=(FaultPlan(seed=spec.seed, crashes=crashes)
+                        if crashes else None))
         else:
+            executor = spec.executor
+            if executor in ("process", "auto") and breaker is not None \
+                    and not breaker.allow():
+                executor = "thread"
+                degrade()
+            faults = None
+            if spec.faults:
+                faults = {k - shards_seen: v for k, v in spec.faults.items()
+                          if k >= shards_seen} or None
             options = dict(
                 workers=min(spec.workers, len(sub)), starts=starts,
                 alpha=spec.alpha, tol=spec.tol, max_iters=spec.max_iters,

@@ -357,6 +357,16 @@ def test_checkpoint_roundtrip(tmp_path, rng):
                     seed=3, alpha=2.0, tol=1e-12, max_iters=500)
 
 
+def test_checkpoint_is_one_line_of_json(tmp_path, rng):
+    # one json.dumps call without indent: the form CPython's C encoder takes
+    t = random_symmetric_tensor(4, 3, rng=rng)
+    state = _mk_state(t)
+    state["starts"]["0"] = {"eigenvalue": 1.25, "eigenvector": [0.6, 0.8, 0.0]}
+    path = tmp_path / "ck.json"
+    write_checkpoint(path, state)
+    assert path.read_text() == json.dumps(state) + "\n"
+
+
 def test_checkpoint_rejects_wrong_params(tmp_path, rng):
     t = random_symmetric_tensor(4, 3, rng=rng)
     path = tmp_path / "ck.json"

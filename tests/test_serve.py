@@ -569,6 +569,28 @@ class TestRunJob:
         assert solved == [2]
         _assert_same_result(resumed.result, ref.result)
 
+    def test_qrst_job_leaves_half_open_breaker_alone(self, tmp_path):
+        # QRST chunks run in-process: they must neither degrade nor take
+        # a half-open probe they would never hand back
+        clock = FakeClock()
+        br = CircuitBreaker(threshold=1, reset_after=5.0, clock=clock)
+        br.record_failure()
+        clock.advance(5.0)
+        assert br.state == "half-open"
+        job = _job({**SPEC, "method": "qrst", "executor": "process"}, "qp")
+        run_job(job, breaker=br, ckpt_dir=tmp_path)
+        assert job.status == "done" and not job.degraded
+        assert br.allow()
+
+    @pytest.mark.parametrize("tensor", [2, 3])
+    def test_qrst_fault_keys_are_job_tensor_indices(self, tmp_path, tensor):
+        job = _job({**SPEC, "method": "qrst",
+                    "faults": {str(tensor): "crash"}})
+        run_job(job, ckpt_dir=tmp_path)
+        assert job.status == "done"
+        failed = [t for t, row in enumerate(job.result["failed"]) if all(row)]
+        assert failed == [tensor]
+
     def test_checkpoint_of_another_method_is_ignored(self, tmp_path):
         fresh = _job({**SPEC, "method": "qrst"}, "fresh")
         run_job(fresh, ckpt_dir=tmp_path)
