@@ -410,8 +410,11 @@ def fleet_solve(
                 if uniform_shift and alpha == 0.0:
                     x_new = y
                 else:
+                    # dtype= keeps float32 lanes in float32 (alpha_lane is
+                    # float64)
                     x_new = np.multiply(
-                        x, alpha if uniform_shift else alpha_lane[:, None])
+                        x, alpha if uniform_shift else alpha_lane[:, None],
+                        dtype=x.dtype)
                     x_new += y
                 if any_neg:
                     np.negative(x_new, out=x_new,

@@ -28,9 +28,8 @@ from repro.core.config import SolveConfig
 from repro.core.eigenpairs import hessian_matrix
 from repro.instrument import span as _span
 from repro.kernels.dispatch import KernelPair
-from repro.resilience.guards import SolveFailure
 from repro.solvers.scaffold import prepare, start_vector
-from repro.solvers.sshopm import SSHOPMResult
+from repro.solvers.sshopm import SSHOPMResult, _shifted_power_loop
 from repro.symtensor.storage import SymmetricTensor
 
 __all__ = ["geap", "projected_shift", "tangent_hessian_eigenvalues"]
@@ -111,69 +110,11 @@ def geap(
         rng=rng, config=config, telemetry=telemetry, guards=guards,
         tel_meta={"mode": mode, "tau": tau},
     )
-    kernels, tel, guard = run.kernels, run.telemetry, run.guard
     x = start_vector(x0, tensor.n, run.rng)
 
-    alpha = 0.0
-    try:
-        with _span("geap"):
-            lam = float(kernels.ax_m(tensor, x))
-            history = [lam]
-            if guard is not None:
-                guard.note_start(lam, x)
-            converged = False
-            iterations = 0
-            for _ in range(run.max_iters):
-                if stop is not None and stop():
-                    break
-                with _span("iteration"):
-                    iterations += 1
-                    with _span("projected_shift"):
-                        alpha = projected_shift(tensor, x, tau, mode)
-                        if guard is not None and not np.isfinite(alpha):
-                            # a NaN Hessian means the iterate went nonfinite
-                            guard.check(iterations, float("nan"), x)
-                    y = np.asarray(kernels.ax_m1(tensor, x))
-                    x_new = y + alpha * x
-                    if mode == "min":
-                        x_new = -x_new
-                    norm = np.linalg.norm(x_new)
-                    if guard is not None:
-                        guard.check_update(iterations, float(norm))
-                    if norm == 0.0 or not np.isfinite(norm):
-                        break
-                    x_prev = x
-                    x = x_new / norm
-                    lam_new = float(kernels.ax_m(tensor, x))
-                    history.append(lam_new)
-                    if tel is not None:
-                        tel.append(
-                            iterations, lam_new,
-                            residual=float(np.linalg.norm(y - lam * x_prev)),
-                            shift=alpha,
-                            step_norm=float(np.linalg.norm(x - x_prev)),
-                        )
-                    if guard is not None:
-                        guard.check(iterations, lam_new, x)
-                    if abs(lam_new - lam) < run.tol:
-                        lam = lam_new
-                        converged = True
-                        break
-                    lam = lam_new
+    def shift_at(x):
+        with _span("projected_shift"):
+            return projected_shift(tensor, x, tau, mode)
 
-            residual = float(np.linalg.norm(
-                np.asarray(kernels.ax_m1(tensor, x)) - lam * x))
-    except SolveFailure as failure:
-        run.record_failure(failure)
-        raise
-    run.finish(iterations=iterations, converged=converged, lam=lam,
-               residual=residual, shift=alpha)
-    return SSHOPMResult(
-        eigenvalue=lam,
-        eigenvector=x,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        lambda_history=history,
-        telemetry=run.telemetry,
-    )
+    return _shifted_power_loop(run, x, shift_at, negate=mode == "min",
+                               stop=stop)

@@ -1,13 +1,15 @@
-"""Shared per-iteration scaffolding for the single-tensor solvers.
+"""Shared per-run scaffolding for the single-tensor solvers.
 
 Every solver in :mod:`repro.solvers` does the same bookkeeping around its
 mathematical core: resolve options through the
-:class:`~repro.core.config.SolveConfig` chain, wire kernels into the
-active recorder, open a telemetry stream, arm the numerical guard, and —
-on both success and structured failure — attach telemetry and account
-the run in the metrics registry.  :func:`prepare` and :func:`finish` /
-:func:`record_failure` centralize that so a new solver (GEAP, QRST, or a
-third-party registry entry) is mostly its iteration loop.
+:class:`~repro.core.config.SolveConfig` chain, bridge the flop counter and
+kernels onto the active recorder, open a telemetry stream, arm the
+numerical guard, and — on both success and structured failure — attach
+telemetry and account the run in the metrics registry.  :func:`prepare`
+and :meth:`SolverScaffold.finish` / :meth:`SolverScaffold.record_failure`
+centralize that.  ``sshopm``, ``adaptive_sshopm`` and ``geap`` then share
+one loop (``repro.solvers.sshopm._shifted_power_loop``) and differ only in
+their shift rule; QRST brings its own.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.instrument.telemetry import ConvergenceTelemetry, telemetry_enabled
 from repro.kernels.dispatch import KernelPair, get_kernels
 from repro.resilience.guards import IterationGuard, resolve_guards
 from repro.symtensor.storage import SymmetricTensor
+from repro.util.flopcount import FlopCounter, null_counter
 from repro.util.rng import random_unit_vector
 
 __all__ = ["SolverScaffold", "prepare", "start_vector"]
@@ -31,13 +34,16 @@ __all__ = ["SolverScaffold", "prepare", "start_vector"]
 
 @dataclass
 class SolverScaffold:
-    """Resolved per-run state shared by the single-tensor solver drivers."""
+    """Resolved per-run state shared by the single-tensor solver drivers.
+    ``counter`` is the caller's flop counter (or a no-op one), bridged onto
+    the active recorder when the run is traced."""
 
     solver: str
     tensor: SymmetricTensor
     tol: float
     max_iters: int
     kernels: KernelPair
+    counter: FlopCounter
     rng: object
     recorder: object
     telemetry: ConvergenceTelemetry | None
@@ -86,7 +92,7 @@ def prepare(
     max_iters_default: int = 500,
     counter=None,
 ) -> SolverScaffold:
-    """Resolve the shared options and wire up recorder/telemetry/guards."""
+    """Resolve the shared options and wire up counter/recorder/telemetry/guards."""
     tol = resolve_option("tol", tol, config, tol_default)
     max_iters = resolve_option("max_iters", max_iters, config, max_iters_default)
     kernels = resolve_option("kernels", kernels, config, None)
@@ -94,11 +100,12 @@ def prepare(
     guard_cfg = resolve_guards(resolve_option("guards", guards, config, None))
 
     recorder = current_recorder()
+    counter = counter or null_counter()
     if isinstance(kernels, str) or kernels is None:
         kernels = get_kernels(kernels or "precomputed", tensor.m, tensor.n)
     if recorder is not None:
-        kernels = instrumented_pair(
-            kernels, counter=recorder.flop_counter(mirror=counter))
+        counter = recorder.flop_counter(mirror=counter)
+        kernels = instrumented_pair(kernels, counter=counter)
     tel = None
     if telemetry_enabled(telemetry, recorder):
         meta = {"m": tensor.m, "n": tensor.n, "tol": tol}
@@ -109,8 +116,8 @@ def prepare(
         guard = IterationGuard(guard_cfg, solver=solver, tol=tol)
     return SolverScaffold(
         solver=solver, tensor=tensor, tol=tol, max_iters=max_iters,
-        kernels=kernels, rng=rng, recorder=recorder, telemetry=tel,
-        guard=guard, t0=time.perf_counter(),
+        kernels=kernels, counter=counter, rng=rng, recorder=recorder,
+        telemetry=tel, guard=guard, t0=time.perf_counter(),
     )
 
 

@@ -12,26 +12,25 @@ sphere) and negative for ``alpha < 0`` (concave case, local minima).  A
 sufficiently large ``|alpha|`` guarantees monotone convergence of the
 ``lambda_k`` sequence; ``alpha = 0`` recovers the unshifted S-HOPM of
 De Lathauwer et al. / Kofidis & Regalia, which the paper uses for its MRI
-test set.
+test set.  The adaptive-shift solvers (``adaptive_sshopm``, ``geap``) run
+this same loop with ``alpha`` chosen afresh each iteration.
 """
 
 from __future__ import annotations
 
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import SolveConfig, resolve_option
-from repro.instrument import current_recorder, instrumented_pair
 from repro.instrument import span as _span
-from repro.instrument.metrics import observe_solver_run
-from repro.instrument.telemetry import ConvergenceTelemetry, telemetry_enabled
-from repro.kernels.dispatch import KernelPair, get_kernels
-from repro.resilience.guards import IterationGuard, SolveFailure, resolve_guards
+from repro.instrument.telemetry import ConvergenceTelemetry
+from repro.kernels.dispatch import KernelPair
+from repro.resilience.guards import SolveFailure
+from repro.solvers.scaffold import SolverScaffold, prepare, start_vector
 from repro.symtensor.storage import SymmetricTensor
-from repro.util.flopcount import FlopCounter, null_counter
-from repro.util.rng import random_unit_vector
+from repro.util.flopcount import FlopCounter
 
 __all__ = ["SSHOPMResult", "sshopm", "suggested_shift"]
 
@@ -53,6 +52,8 @@ class SSHOPMResult:
     telemetry : bounded per-iteration convergence stream
         (:class:`~repro.instrument.telemetry.ConvergenceTelemetry`) when
         telemetry was enabled for the run, else ``None``.
+    tensor : the solved tensor (kept so :meth:`eigenpairs` knows the
+        order's sign symmetry and can classify without re-threading it).
     """
 
     eigenvalue: float
@@ -62,6 +63,7 @@ class SSHOPMResult:
     residual: float
     lambda_history: list[float] = field(default_factory=list)
     telemetry: ConvergenceTelemetry | None = None
+    tensor: SymmetricTensor | None = field(default=None, repr=False)
 
     def eigenpairs(
         self,
@@ -72,13 +74,14 @@ class SSHOPMResult:
     ) -> list:
         """The run's eigenpair as a (zero- or one-element) list, matching
         the :class:`~repro.core.results.ResultProtocol` shape shared with
-        the batch solvers.  Unconverged runs yield ``[]``; ``tensor`` is
-        needed only for ``classify=True``.
+        the batch solvers.  Unconverged runs yield ``[]``; ``tensor``
+        defaults to the solved one.
         """
         from repro.core.eigenpairs import dedupe_eigenpairs
 
         if not self.converged:
             return []
+        tensor = tensor if tensor is not None else self.tensor
         m = tensor.m if tensor is not None else 0
         return dedupe_eigenpairs(
             np.asarray([self.eigenvalue]),
@@ -161,59 +164,63 @@ def sshopm(
     unconverged at the current iterate.
     """
     alpha = resolve_option("alpha", alpha, config, 0.0)
-    tol = resolve_option("tol", tol, config, 1e-12)
-    max_iters = resolve_option("max_iters", max_iters, config, 500)
-    kernels = resolve_option("kernels", kernels, config, None)
-    rng = resolve_option("rng", rng, config, None)
-    guards = resolve_guards(resolve_option("guards", guards, config, None))
+    run = prepare(
+        "sshopm", tensor, tol=tol, max_iters=max_iters, kernels=kernels,
+        rng=rng, config=config, telemetry=telemetry, guards=guards,
+        tel_meta={"alpha": alpha}, counter=counter,
+    )
+    x = start_vector(x0, tensor.n, run.rng)
+    return _shifted_power_loop(run, x, lambda _: alpha, negate=alpha < 0)
 
-    recorder = current_recorder()
-    counter = counter or null_counter()
-    if recorder is not None:
-        counter = recorder.flop_counter(mirror=counter)
-    if isinstance(kernels, str) or kernels is None:
-        kernels = get_kernels(kernels or "precomputed", tensor.m, tensor.n)
-    if recorder is not None:
-        kernels = instrumented_pair(kernels, counter=counter)
-    tel = None
-    if telemetry_enabled(telemetry, recorder):
-        tel = ConvergenceTelemetry(
-            "sshopm",
-            meta={"m": tensor.m, "n": tensor.n, "alpha": alpha, "tol": tol},
-        )
-    if x0 is None:
-        x0 = random_unit_vector(tensor.n, rng=rng)
-    x = np.asarray(x0, dtype=np.float64)
-    if x.shape != (tensor.n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({tensor.n},)")
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        raise ValueError("starting vector must be nonzero")
-    x = x / norm
 
-    guard = None
-    if guards is not None:
-        guard = IterationGuard(guards, solver="sshopm", tol=tol)
+def _shifted_power_loop(
+    run: SolverScaffold,
+    x: np.ndarray,
+    shift_at: Callable[[np.ndarray], float],
+    *,
+    negate: bool,
+    stop: Callable[[], bool] | None = None,
+) -> SSHOPMResult:
+    """Figure 1's iteration from the unit start ``x``: the one loop behind
+    :func:`sshopm`, :func:`~repro.solvers.adaptive.adaptive_sshopm` and
+    :func:`~repro.solvers.geap.geap`, which differ only in ``shift_at``.
 
-    t0 = time.perf_counter()
+    Each iteration takes ``alpha_k = shift_at(x_k)``, forms
+    ``x_{k+1} = normalize(+-(A x_k^{m-1} + alpha_k x_k))`` (negated when
+    ``negate``) and ``lambda_{k+1} = A x_{k+1}^m``, and stops once
+    ``|lambda_{k+1} - lambda_k| < tol``.  ``run`` (from
+    :func:`~repro.solvers.scaffold.prepare`) supplies the kernels, flop
+    counter, telemetry stream and guard.  A non-finite shift trips an
+    armed guard as a non-finite step; unguarded, it leaves a non-finite
+    update that ends the run unconverged.  ``stop`` is polled before each
+    iteration; a truthy value returns the current state unconverged.
+    """
+    tensor, kernels, counter = run.tensor, run.kernels, run.counter
+    tel, guard = run.telemetry, run.guard
+    update_flops = 4 * tensor.n + 1  # 2n for y + alpha x, 2n + 1 for its norm
+    alpha = 0.0
     try:
-        with _span("sshopm"):
+        with _span(run.solver):
             lam = float(kernels.ax_m(tensor, x))
             history = [lam]
             if guard is not None:
                 guard.note_start(lam, x)
             converged = False
             iterations = 0
-            for _ in range(max_iters):
+            for _ in range(run.max_iters):
+                if stop is not None and stop():
+                    break
                 with _span("iteration"):
                     iterations += 1
+                    alpha = shift_at(x)
+                    if guard is not None and not np.isfinite(alpha):
+                        guard.check(iterations, float("nan"), x)
                     y = np.asarray(kernels.ax_m1(tensor, x))
                     x_new = y + alpha * x
-                    if alpha < 0:
+                    if negate:
                         x_new = -x_new
-                    counter.add_flops(2 * tensor.n)
                     norm = np.linalg.norm(x_new)
-                    counter.add_flops(2 * tensor.n + 1)
+                    counter.add_flops(update_flops)
                     if guard is not None:
                         guard.check_update(iterations, float(norm))
                     if norm == 0.0 or not np.isfinite(norm):
@@ -231,29 +238,19 @@ def sshopm(
                         )
                     if guard is not None:
                         guard.check(iterations, lam_new, x)
-                    if abs(lam_new - lam) < tol:
+                    if abs(lam_new - lam) < run.tol:
                         lam = lam_new
                         converged = True
                         break
                     lam = lam_new
 
-            residual = float(np.linalg.norm(np.asarray(kernels.ax_m1(tensor, x)) - lam * x))
+            residual = float(np.linalg.norm(
+                np.asarray(kernels.ax_m1(tensor, x)) - lam * x))
     except SolveFailure as failure:
-        # structured abort: hand the telemetry stream to the failure and
-        # still account the (failed) run in the metrics registry
-        failure.telemetry = tel
-        if tel is not None and recorder is not None:
-            recorder.add_telemetry(tel)
-        observe_solver_run("sshopm", time.perf_counter() - t0,
-                           failure.iteration, 0, 1)
+        run.record_failure(failure)
         raise
-    if tel is not None:
-        tel.append(iterations, lam, residual=residual, shift=alpha,
-                   active=0 if converged else 1, force=True)
-        if recorder is not None:
-            recorder.add_telemetry(tel)
-    observe_solver_run("sshopm", time.perf_counter() - t0, iterations,
-                       int(converged), 1)
+    run.finish(iterations=iterations, converged=converged, lam=lam,
+               residual=residual, shift=alpha)
     return SSHOPMResult(
         eigenvalue=lam,
         eigenvector=x,
@@ -262,4 +259,5 @@ def sshopm(
         residual=residual,
         lambda_history=history,
         telemetry=tel,
+        tensor=tensor,
     )

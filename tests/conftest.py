@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis configuration for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +19,21 @@ settings.load_profile("repro")
 # (m, n) sizes exercised by cross-variant agreement tests: matrix case,
 # odd/even orders, n < m and n > m, and the paper's application size (4, 3).
 SMALL_SIZES = [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (4, 3), (4, 5), (5, 2), (5, 3), (6, 2)]
+
+
+def own_segments(*pids):
+    """Live ``repro-fleet-*`` shared-memory segments created by this test
+    process or by one of ``pids`` (children it started).
+
+    Segment names carry their creator's pid
+    (``repro-fleet-<pid>-<nonce>-<tag>``), so leak checks built on this
+    ignore process-tier solves that other processes on the host run.
+    """
+    from repro.parallel.shm import SEGMENT_PREFIX, active_segments
+
+    mine = {str(pid) for pid in (os.getpid(), *pids)}
+    return [name for name in active_segments()
+            if name[len(SEGMENT_PREFIX) + 1:].split("-", 1)[0] in mine]
 
 
 @pytest.fixture(scope="session")

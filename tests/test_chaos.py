@@ -27,6 +27,7 @@ from repro.resilience import (
     resilient_multistart,
 )
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
+from tests.conftest import own_segments
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "20110516"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -319,7 +320,7 @@ class TestProcessFleetChaos:
 
     def test_sigkilled_worker_requeues_no_leak(self, fleet_batch,
                                                fleet_starts):
-        from repro.parallel.shm import SHM_AVAILABLE, active_segments
+        from repro.parallel.shm import SHM_AVAILABLE
 
         if not SHM_AVAILABLE:
             pytest.skip("shared_memory unavailable")
@@ -334,11 +335,11 @@ class TestProcessFleetChaos:
                                       base.result.eigenvalues)
         np.testing.assert_array_equal(rep.result.converged,
                                       base.result.converged)
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_injected_crash_requeues_no_leak(self, fleet_batch,
                                              fleet_starts):
-        from repro.parallel.shm import SHM_AVAILABLE, active_segments
+        from repro.parallel.shm import SHM_AVAILABLE
 
         if not SHM_AVAILABLE:
             pytest.skip("shared_memory unavailable")
@@ -351,13 +352,13 @@ class TestProcessFleetChaos:
         assert rep.requeues >= 1
         np.testing.assert_array_equal(rep.result.eigenvalues,
                                       base.result.eigenvalues)
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_total_pool_loss_finishes_inline(self, fleet_batch,
                                              fleet_starts):
         """Every worker dies: the parent drains the queue and solves the
         remaining shards itself — degraded, but complete and leak-free."""
-        from repro.parallel.shm import SHM_AVAILABLE, active_segments
+        from repro.parallel.shm import SHM_AVAILABLE
 
         if not SHM_AVAILABLE:
             pytest.skip("shared_memory unavailable")
@@ -370,7 +371,7 @@ class TestProcessFleetChaos:
         assert rep.failed_shards == []
         np.testing.assert_array_equal(rep.result.eigenvalues,
                                       base.result.eigenvalues)
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_sigint_mid_solve_leaves_no_segments(self, tmp_path):
         """Ctrl-C during a process-tier solve must still unlink every
@@ -380,11 +381,11 @@ class TestProcessFleetChaos:
         import sys
         import time as _time
 
-        from repro.parallel.shm import SHM_AVAILABLE, active_segments
+        from repro.parallel.shm import SHM_AVAILABLE
 
         if not SHM_AVAILABLE:
             pytest.skip("shared_memory unavailable")
-        assert active_segments() == []
+        assert own_segments() == []
         script = (
             "import sys\n"
             "import numpy as np\n"
@@ -419,7 +420,7 @@ class TestProcessFleetChaos:
                 proc.kill()
                 proc.communicate()
         assert "FINISHED" not in out
-        assert active_segments() == []
+        assert own_segments(proc.pid) == []
 
 
 class TestServeDrainChaos:
@@ -436,7 +437,7 @@ class TestServeDrainChaos:
         import time as _time
         import urllib.request
 
-        from repro.parallel.shm import SHM_AVAILABLE, active_segments
+        from repro.parallel.shm import SHM_AVAILABLE
         from repro.serve.drain import read_drain_manifest
 
         if not SHM_AVAILABLE:
@@ -487,7 +488,7 @@ class TestServeDrainChaos:
         # the interrupted job checkpointed its completed chunks
         ck = _json.loads((ckpt / f"job-{job}.json").read_text())
         assert ck["schema"].startswith("repro-ckpt/") and ck["starts"]
-        assert active_segments() == []
+        assert own_segments(proc.pid) == []
 
 
 class TestObservabilityUnderChaos:

@@ -310,6 +310,24 @@ class TestAdaptive:
             assert np.array_equal(getattr(adapt, field),
                                   getattr(fixed, field)), field
 
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (4, 5)])
+    def test_float32_lanes_stay_float32_under_per_lane_shifts(self, m, n):
+        # the per-lane shifts are float64; scaling a float32 iterate by
+        # them must not promote the lanes, or every later sweep computes
+        # in float64 and drifts from the uniform-shift float32 run
+        alpha = -5.0
+        batch = random_symmetric_batch(3, m, n, rng=11)
+        starts = shared_starts(8, n)
+        kw = dict(starts=starts, alpha=alpha, tol=1e-5, max_iters=400,
+                  dtype=np.float32)
+        fixed = fleet_solve(batch, **kw)
+        adapt = fleet_solve(batch, adaptive=True, **kw)
+        assert (adapt.shifts == alpha).all()
+        for field in ("eigenvalues", "eigenvectors", "iterations",
+                      "converged"):
+            assert np.array_equal(getattr(adapt, field),
+                                  getattr(fixed, field)), field
+
 
 class TestParallel:
     def test_sharded_matches_single_worker(self, small_batch):

@@ -24,9 +24,9 @@ from repro.parallel.shm import (
     SHM_AVAILABLE,
     SharedResultBlock,
     SharedTensorStore,
-    active_segments,
 )
 from repro.symtensor.random import random_symmetric_batch
+from tests.conftest import own_segments
 
 pytestmark = pytest.mark.skipif(
     not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable")
@@ -68,7 +68,7 @@ class TestSharedTensorStore:
             attached.dispose()
         finally:
             store.dispose()
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_batch_view_is_zero_copy(self, batch, starts):
         with SharedTensorStore.publish(batch, starts) as store:
@@ -101,7 +101,7 @@ class TestSharedTensorStore:
             assert orig.keys() == back.keys()
             for key in orig:
                 np.testing.assert_array_equal(orig[key], back[key])
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_handle_is_small(self, batch, starts):
         """The entire per-worker tensor payload is the pickled handle —
@@ -115,7 +115,7 @@ class TestSharedTensorStore:
         store = SharedTensorStore.publish(batch, starts)
         store.dispose()
         store.dispose()
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_segment_names_have_no_colon(self, batch, starts):
         """Colons corrupt the resource tracker's ``CMD:name:rtype`` pipe
@@ -145,7 +145,7 @@ class TestSharedResultBlock:
         assert snap["converged"][1:3].all()
         assert np.isnan(snap["eigenvalues"][0]).all()
         assert np.isnan(snap["eigenvalues"][3]).all()
-        assert active_segments() == []
+        assert own_segments() == []
 
 
 class TestFleetWorkspace:
@@ -215,7 +215,7 @@ class TestProcessExecutor:
         assert_bitwise(one.result, proc.result)
         assert proc.executor == "process"
         assert proc.workers == 2
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_steal_oversplits_and_stays_bitwise(self, batch, starts):
         one = parallel_fleet_solve(batch, workers=1, starts=starts,
@@ -227,7 +227,7 @@ class TestProcessExecutor:
         assert len(proc.shard_sizes) == min(len(batch),
                                             2 * STEAL_SPLIT_FACTOR)
         assert sum(proc.shard_sizes) == len(batch)
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_auto_executor_resolves_and_runs(self, batch, starts):
         rep = parallel_fleet_solve(batch, workers=2, starts=starts,
@@ -303,7 +303,7 @@ class TestFacadeIntegration:
         assert proc.solver == "parallel_fleet_solve"
         assert proc.extra.executor == "process"
         assert_bitwise(one.result, proc.result)
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_single_worker_ignores_executor_option(self, batch, starts):
         rep = repro.solve(batch, starts=starts, alpha=4.0, max_iters=100,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import SolveConfig
 from repro.solvers.adaptive import adaptive_sshopm
+from repro.solvers.geap import geap
 from repro.engine.fleet import fleet_solve
 from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.instrument.metrics import use_registry
@@ -149,10 +150,16 @@ def test_sshopm_guard_raises_on_nan_tensor():
     assert exc.value.solver == "sshopm"
 
 
-def test_sshopm_legacy_behavior_without_guards():
+@pytest.mark.parametrize("solve", [
+    lambda t, **kw: sshopm(t, alpha=1.0, **kw),
+    adaptive_sshopm,
+    geap,
+], ids=["sshopm", "adaptive_sshopm", "geap"])
+def test_sshopm_legacy_behavior_without_guards(solve):
     # the historical contract: NaN tensors terminate unconverged, no raise
+    # (the adaptive rules' eigensolvers see a NaN Hessian)
     bad = SymmetricTensor(np.full(15, np.nan), 4, 3)
-    res = sshopm(bad, alpha=1.0, rng=0, telemetry=False)
+    res = solve(bad, rng=0, telemetry=False)
     assert not res.converged
 
 

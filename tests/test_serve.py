@@ -41,6 +41,7 @@ from repro.serve import (
     write_drain_manifest,
 )
 from repro.serve.jobs import BadSpec
+from tests.conftest import own_segments
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -427,9 +428,7 @@ class TestRunJob:
         # ...but a recovered crash still counts as breaker failure
         assert br.state == "open"
 
-        from repro.parallel.shm import active_segments
-
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_half_open_probe_resolves_on_thread_tier_run(self, tmp_path):
         # regression: a half-open probe granted to a run that resolves
@@ -469,9 +468,7 @@ class TestRunJob:
         assert job.result["eigenvalues"] == ref.result["eigenvalues"]
         assert br.state == "open"    # proof the fault was injected
 
-        from repro.parallel.shm import active_segments
-
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_process_tier_error_falls_back_once_per_job(self, tmp_path,
                                                        monkeypatch):
@@ -921,9 +918,7 @@ class TestBreakerOverHTTP:
             assert doc["status"] == "done" and doc["degraded"]
             assert doc["result"] == ref.result
 
-            from repro.parallel.shm import active_segments
-
-            assert active_segments() == []
+            assert own_segments() == []
         finally:
             srv.drain()
 
@@ -967,8 +962,6 @@ def _ready_base(proc):
 @pytest.mark.skipif(not _shm_available(), reason="shared_memory unavailable")
 class TestSoakSigtermDrainResume:
     def test_sigterm_drain_then_resume_bit_for_bit(self, tmp_path):
-        from repro.parallel.shm import active_segments
-
         ckpt = tmp_path / "ckpt"
 
         # reference: the uninterrupted answer
@@ -1011,7 +1004,8 @@ class TestSoakSigtermDrainResume:
         assert entries is not None, "drain left no manifest"
         assert [e["state"] for e in entries] == ["interrupted"]
         assert entries[0]["job"] == sub["job"]
-        assert active_segments() == []  # nothing leaked through the drain
+        # nothing leaked through the drain
+        assert own_segments(ref_proc.pid, proc.pid) == []
 
         # resume: same job id, finished bit-for-bit from the checkpoint
         res_proc = _serve_proc(["--checkpoint-dir", str(ckpt),
@@ -1025,4 +1019,4 @@ class TestSoakSigtermDrainResume:
         assert res_proc.returncode == 0
         assert doc["result"] == ref["result"]  # bit-for-bit across lives
         assert read_drain_manifest(ckpt) is None  # consumed, not re-run
-        assert active_segments() == []
+        assert own_segments(ref_proc.pid, proc.pid, res_proc.pid) == []

@@ -4,6 +4,10 @@ behavior, matrix-case ground truth, kernel-variant independence."""
 import numpy as np
 import pytest
 
+import repro
+from repro.core.eigenpairs import eigen_residual, hessian_matrix
+from repro.solvers.adaptive import adaptive_sshopm
+from repro.solvers.geap import geap, projected_shift
 from repro.solvers.sshopm import sshopm, suggested_shift
 from repro.kernels.dispatch import get_kernels
 from repro.symtensor.random import (
@@ -162,3 +166,107 @@ class TestSuggestedShift:
         for seed in range(10):
             res = sshopm(tensor, alpha=alpha, rng=seed, max_iters=10000, tol=1e-12)
             assert res.converged
+
+
+class TestResultEigenpairs:
+    def test_odd_order_pair_is_an_eigenpair(self):
+        # without a tensor argument the result must still know m is odd,
+        # or the sign canonicalization flips x alone
+        tensor = random_symmetric_tensor(3, 4, rng=3)
+        res = repro.solve(tensor, rng=3, method="geap").result
+        (pair,) = res.eigenpairs(classify=True)
+        assert eigen_residual(tensor, pair.eigenvalue, pair.eigenvector) < 1e-4
+        assert pair.stability
+        assert np.isfinite(pair.residual)
+
+
+def frozen_shifted_loop(tensor, x0, shift_at, negate, tol=1e-12,
+                        max_iters=500):
+    """Figure 1 with the shift ``shift_at(x_k)`` chosen before each step:
+    ``x_{k+1} = normalize(+-(A x_k^{m-1} + alpha_k x_k))`` (negated when
+    ``negate``), ``lambda_{k+1} = A x_{k+1}^m``, stop once lambda moves
+    less than ``tol``.  Frozen: ``sshopm``, ``adaptive_sshopm`` and
+    ``geap`` must keep matching it bit for bit; never edit it to follow
+    them."""
+    kernels = get_kernels("precomputed", tensor.m, tensor.n)
+    x = np.asarray(x0, dtype=np.float64)
+    x = x / np.linalg.norm(x)
+    lam = float(kernels.ax_m(tensor, x))
+    history = [lam]
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        alpha = shift_at(x)
+        y = np.asarray(kernels.ax_m1(tensor, x))
+        x_new = y + alpha * x
+        if negate:
+            x_new = -x_new
+        norm = np.linalg.norm(x_new)
+        if norm == 0.0 or not np.isfinite(norm):
+            break
+        x = x_new / norm
+        lam_new = float(kernels.ax_m(tensor, x))
+        history.append(lam_new)
+        if abs(lam_new - lam) < tol:
+            lam = lam_new
+            converged = True
+            break
+        lam = lam_new
+    return {"eigenvalue": lam, "eigenvector": x, "iterations": iterations,
+            "converged": converged, "lambda_history": history}
+
+
+def frozen_full_hessian_shift(tensor, tau, mode):
+    """``adaptive_sshopm``'s rule: the smallest shift (plus ``tau``) that
+    makes ``(m-1) A x^{m-2} + alpha I`` definite."""
+    def shift_at(x):
+        H = hessian_matrix(tensor, x)
+        evals = np.linalg.eigvalsh(0.5 * (H + H.T))
+        if mode == "max":
+            return max(0.0, tau - float(evals[0]))
+        return min(0.0, -(tau + float(evals[-1])))
+    return shift_at
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (3, 4) for n in (2, 3, 4)])
+class TestSharedShiftedLoop:
+    """All three single-start power solvers against the frozen loop: they
+    may share or reorganise their bookkeeping, never their arithmetic."""
+
+    FIELDS = ("eigenvalue", "eigenvector", "iterations", "converged",
+              "lambda_history")
+
+    @staticmethod
+    def problem(m, n):
+        return (random_symmetric_tensor(m, n, rng=10 * m + n),
+                random_unit_vector(n, rng=m + n))
+
+    def assert_matches_frozen(self, res, want):
+        for field in self.FIELDS:
+            assert np.array_equal(np.asarray(getattr(res, field)),
+                                  np.asarray(want[field])), field
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, -2.0])
+    def test_sshopm(self, m, n, alpha):
+        tensor, x0 = self.problem(m, n)
+        want = frozen_shifted_loop(tensor, x0, lambda x: alpha,
+                                   negate=alpha < 0)
+        self.assert_matches_frozen(sshopm(tensor, x0=x0, alpha=alpha), want)
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_adaptive_sshopm(self, m, n, mode):
+        tensor, x0 = self.problem(m, n)
+        want = frozen_shifted_loop(
+            tensor, x0, frozen_full_hessian_shift(tensor, 1e-6, mode),
+            negate=mode == "min")
+        self.assert_matches_frozen(
+            adaptive_sshopm(tensor, x0=x0, mode=mode), want)
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_geap(self, m, n, mode):
+        tensor, x0 = self.problem(m, n)
+        want = frozen_shifted_loop(
+            tensor, x0, lambda x: projected_shift(tensor, x, 1e-6, mode),
+            negate=mode == "min")
+        self.assert_matches_frozen(geap(tensor, x0=x0, mode=mode), want)
