@@ -34,7 +34,7 @@ from repro.solvers.sshopm import sshopm
 from repro.instrument import Recorder, span
 from repro.instrument.events import current_spool, new_run_id, provenance
 from repro.instrument.metrics import use_registry
-from repro.kernels.dispatch import get_kernels
+from repro.kernels.plan import get_plan
 from repro.parallel.fleet import parallel_fleet_solve
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
 from repro.util.rng import starting_vectors
@@ -117,7 +117,7 @@ def _smoke_sshopm_single():
 def _smoke_kernel_ax_m1():
     """Mirror of bench_table2_costs.py (raw batched kernel applications)."""
     batch = _batch(tensors=16, m=4, n=6)
-    suite = get_kernels("batched", batch.m, batch.n, batched=True)
+    suite = get_plan(batch.m, batch.n, "vectorized").suite
     values = batch.values[:, None, :]
     x = starting_vectors(8, batch.n, rng=np.random.default_rng(4))
     x = np.broadcast_to(x[None, :, :], (len(batch), 8, batch.n)).copy()

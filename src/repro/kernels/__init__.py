@@ -2,11 +2,11 @@
 ``A x^{m-1}`` in every implementation variant the paper benchmarks, plus the
 general ``A x^{m-p}`` extension.
 
-All per-tensor *and* batched access goes through
-:func:`~repro.kernels.dispatch.get_kernels` (``batched=True`` returns the
-broadcasting array suite); all *code generation* goes through the
-emitter registry of :mod:`repro.kernels.codegen`
-(``emit(m, n, variant, target=...)``).
+Per-tensor access goes through :func:`~repro.kernels.dispatch.get_kernels`;
+batched suites (the broadcasting array kernels the fleet runs) come only
+from the cached plans of :func:`repro.kernels.plan.get_plan`; all *code
+generation* goes through the emitter registry of
+:mod:`repro.kernels.codegen` (``emit(m, n, variant, target=...)``).
 """
 
 from repro.kernels.batched import monomials_batched

@@ -45,7 +45,12 @@ import numpy as np
 
 from repro.kernels.errors import UnknownBackendError, UnknownVariantError
 from repro.kernels.tables import kernel_tables
-from repro.kernels.unrolled import UnrolledKernels, _generate_source, _make_unrolled, _monomial_expr
+from repro.kernels.unrolled import (
+    MAX_UNROLLED_ENTRIES,
+    UnrolledKernels,
+    _make_unrolled,
+    _monomial_expr,
+)
 
 __all__ = [
     "CODEGEN_VERSION",
@@ -240,44 +245,10 @@ class NumpyEmitter(Emitter):
     executable = True
 
     def emit(self, m: int, n: int, variant: str = "unrolled_cse", *,
-             batched: bool = False, source: str | None = None,
-             **_opts) -> EmittedKernel:
-        """Compile the unrolled (+CSE) kernels with ``exec``.
-
-        ``source=`` short-circuits generation with pregenerated text (the
-        disk cache's warm path); flop counts then come from a cheap
-        regeneration-free static pass only if provided alongside, so the
-        plan layer passes counts explicitly instead.
-        """
+             batched: bool = False, **_opts) -> EmittedKernel:
+        """Compile the unrolled (+CSE) kernels with ``exec``."""
         self._check_variant(variant)
-        if source is not None:
-            return _exec_pregenerated(m, n, variant, bool(batched), source)
         return _numpy_emit(m, n, variant, bool(batched))
-
-
-@lru_cache(maxsize=None)
-def _exec_pregenerated(m: int, n: int, variant: str, batched: bool,
-                       source: str) -> EmittedKernel:
-    """Compile pregenerated unrolled source (the disk-cache warm path)."""
-    t0 = time.perf_counter()
-    namespace: dict = {}
-    code = compile(source, f"<codegen m={m} n={n} {variant}>", "exec")
-    exec(code, namespace)  # noqa: S102 - controlled, generated source
-    return EmittedKernel(
-        backend="numpy",
-        effective_backend="numpy",
-        m=m,
-        n=n,
-        variant=variant,
-        batched=batched,
-        source=source,
-        ax_m=namespace["ax_m"],
-        ax_m1=namespace["ax_m1"],
-        flops_scalar=0,
-        flops_vector=0,
-        compile_seconds=time.perf_counter() - t0,
-        meta={"pregenerated": True},
-    )
 
 
 # -- numba: native JIT of the flat-batch straight-line kernels -------------
@@ -546,7 +517,7 @@ def _cuda_emit(m: int, n: int, variant: str, num_starts: int) -> EmittedKernel:
     source = _generate_cuda_kernel(m, n, num_starts, variant)
     dt = time.perf_counter() - t0
     flops_scalar = flops_vector = 0
-    if num_unique_entries(m, n) <= 4000:
+    if num_unique_entries(m, n) <= MAX_UNROLLED_ENTRIES:
         # static per-thread flop counts from the unrolled generator (the
         # GPU perf model charges the same arithmetic)
         gen = _make_unrolled(m, n, cse=False, batched=False)
@@ -585,11 +556,3 @@ class CudaSourceEmitter(Emitter):
         self._check_variant(variant)
         return _cuda_emit(m, n, variant, int(num_starts))
 
-
-def generated_source(m: int, n: int, variant: str = "unrolled_cse", *,
-                     batched: bool = False) -> tuple[str, int, int]:
-    """``(source, flops_scalar, flops_vector)`` of the numpy-path unrolled
-    kernels — the registry-era spelling of the old ``generate_source``."""
-    if variant not in _CODEGEN_VARIANTS:
-        raise UnknownVariantError(variant, list(_CODEGEN_VARIANTS))
-    return _generate_source(m, n, cse=_variant_cse(variant), batched=batched)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.kernels.tables import kernel_tables
+from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES
 from repro.util.combinatorics import num_unique_entries
 
 # the per-variant kernel generator is private: use the ``cuda-src``
@@ -78,7 +79,7 @@ def _generate_cuda_kernel(
     U = num_unique_entries(m, n)
     if variant not in ("unrolled", "general"):
         raise ValueError(f"variant must be 'unrolled' or 'general', got {variant!r}")
-    if variant == "unrolled" and U > 4000:
+    if variant == "unrolled" and U > MAX_UNROLLED_ENTRIES:
         raise ValueError(f"refusing to unroll U={U} terms; use variant='general'")
 
     header = f"""\

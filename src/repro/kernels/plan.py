@@ -27,10 +27,14 @@ Plan construction also reads/writes the persistent on-disk cache
 process: a warm second process skips the combinatorial table build *and*
 the source generation/compilation.
 
-The fleet engine (:mod:`repro.engine`) resolves every kernel call
-through :func:`get_plan`; ad-hoc callers can use :func:`contract_many`,
-the single entry point that unifies the flat-batched and
-blocked-batched dispatch behind one signature.
+This module is the only builder of batched suites: the fleet engine
+(:mod:`repro.engine`), the process tier and every other batched caller
+resolve their kernels through :func:`get_plan`, while
+:func:`repro.kernels.dispatch.get_kernels` serves only the per-tensor
+pairs.  The ``vectorized`` and ``blocked`` suites wrap the array kernels
+of :mod:`repro.kernels.batched` and :mod:`repro.kernels.blocked_batched`;
+the generated ones come from :func:`repro.kernels.codegen.emit` on every
+backend.
 
 Cache hits/misses/evictions land on the
 ``repro_plan_cache_events_total`` metric, disk traffic on
@@ -46,34 +50,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.batched import infer_shape
-from repro.kernels.dispatch import (
-    _BATCHED_ALIASES,
-    BatchedKernelPair,
+from repro.kernels.batched import ax_m1_batched, ax_m_batched
+from repro.kernels.codegen import _BACKEND_ALIASES, _CODEGEN_VARIANTS, emit
+from repro.kernels.dispatch import BatchedKernelPair
+from repro.kernels.errors import (
+    KernelLookupError,
+    UnknownBackendError,
     UnknownVariantError,
-    _batched_suite,
-    _num_threads,
 )
-from repro.kernels.errors import KernelLookupError, UnknownBackendError
 from repro.kernels.tables import KernelTables, kernel_tables, prime_tables
+from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES
+from repro.util.combinatorics import num_unique_entries
 
 __all__ = [
     "KernelPlan",
     "PlanCache",
     "available_plan_backends",
     "clear_plan_cache",
-    "contract_many",
     "default_plan_cache",
     "get_plan",
 ]
 
-#: variants whose suites are produced by code generation
-_CODEGEN_VARIANTS = ("unrolled", "unrolled_cse")
+#: canonical batched variant names plus the historical multistart backend
+#: aliases ("batched", "batched_unrolled")
+_VARIANT_ALIASES: dict[str, str] = {
+    "vectorized": "vectorized",
+    "batched": "vectorized",
+    "unrolled": "unrolled",
+    "batched_unrolled": "unrolled",
+    "unrolled_cse": "unrolled_cse",
+    "blocked": "blocked",
+}
 
 #: backends a host-executable plan can be built on ("auto" races these)
 _PLAN_BACKENDS = ("numpy", "numba")
-
-_BACKEND_ALIASES = {"cuda": "cuda-src"}
 
 
 @dataclass(frozen=True)
@@ -127,12 +137,12 @@ def _canonical_variant(variant: str, m: int, n: int) -> str:
         from repro.kernels.autotune import autotune
 
         best = autotune(m, n).best
-        variant = best if best in _BATCHED_ALIASES else "vectorized"
-    if variant not in _BATCHED_ALIASES:
+        variant = best if best in _VARIANT_ALIASES else "vectorized"
+    if variant not in _VARIANT_ALIASES:
         raise UnknownVariantError(
-            variant, sorted({*_BATCHED_ALIASES.values()}) + ["auto"]
+            variant, sorted({*_VARIANT_ALIASES.values()}) + ["auto"]
         )
-    return _BATCHED_ALIASES[variant]
+    return _VARIANT_ALIASES[variant]
 
 
 def available_plan_backends() -> list[str]:
@@ -159,10 +169,17 @@ def _canonical_backend(backend: str, m: int, n: int, variant: str) -> str:
     return backend
 
 
+def _num_threads(values: np.ndarray, x: np.ndarray) -> int:
+    """Broadcast (tensor, vector) pair count of a batched call — the GPU
+    thread count the flop accounting is charged for."""
+    lead = np.broadcast_shapes(np.shape(values)[:-1], np.shape(x)[:-1])
+    return int(np.prod(lead, dtype=np.int64)) if lead else 1
+
+
 def _suite_with_flops(name: str, ax_m_fn, ax_m1_fn, flops_scalar: int,
                       flops_vector: int) -> BatchedKernelPair:
-    """Wrap plain ``(values, x)`` callables with the per-thread flop
-    accounting every batched suite carries."""
+    """Wrap plain ``(values, x)`` callables of generated code with the
+    per-thread flop accounting every batched suite carries."""
 
     def ax_m(values, x, counter=None):
         if counter is not None:
@@ -177,16 +194,40 @@ def _suite_with_flops(name: str, ax_m_fn, ax_m1_fn, flops_scalar: int,
     return BatchedKernelPair(name, ax_m, ax_m1)
 
 
-def _unrollable(m: int, n: int) -> bool:
-    from repro.util.combinatorics import num_unique_entries
+def _library_suite(canonical: str, m: int, n: int) -> BatchedKernelPair:
+    """The ``vectorized`` or ``blocked`` suite over the array kernels,
+    which charge ``counter`` themselves."""
+    if canonical == "vectorized":
+        tab = kernel_tables(m, n)
 
-    return num_unique_entries(m, n) <= 4000
+        def ax_m(values, x, counter=None):
+            return ax_m_batched(values, x, tables=tab, counter=counter)
+
+        def ax_m1(values, x, counter=None):
+            return ax_m1_batched(values, x, tables=tab, counter=counter)
+
+        return BatchedKernelPair("vectorized", ax_m, ax_m1)
+
+    # canonical == "blocked"
+    from repro.kernels.blocked import blocking_plan
+    from repro.kernels.blocked_batched import ax_m1_blocked_batched, ax_m_blocked_batched
+
+    plan = blocking_plan(m, n, min(6, n))
+
+    def ax_m(values, x, counter=None):
+        return ax_m_blocked_batched(values, x, plan=plan, counter=counter)
+
+    def ax_m1(values, x, counter=None):
+        return ax_m1_blocked_batched(values, x, plan=plan, counter=counter)
+
+    return BatchedKernelPair("blocked", ax_m, ax_m1)
 
 
 def _numpy_suite_from_entry(m: int, n: int, canonical: str,
                             entry: dict) -> BatchedKernelPair | None:
     """Rebuild a numpy codegen suite from a disk entry, skipping source
-    generation (and, when the marshalled code survived, compilation)."""
+    generation (and, when the marshalled code survived, compilation).
+    The only path that executes pregenerated code."""
     meta = entry["meta"]
     source = meta.get("source") or ""
     code = entry["code"]
@@ -209,25 +250,22 @@ def _numpy_suite_from_entry(m: int, n: int, canonical: str,
         return None  # damaged entry: fall through to a cold build
 
 
-def _store_numpy_codegen_entry(m: int, n: int, canonical: str,
-                               tables: KernelTables) -> None:
+def _store_entry(m: int, n: int, canonical: str, backend: str,
+                 tables: KernelTables, emitted=None) -> None:
+    """Persist a cold build: the tables, plus the generated source and
+    flop counts (and, on numpy, the marshalled bytecode) of ``emitted``."""
     from repro.kernels import diskcache
-    from repro.kernels.unrolled import _make_unrolled
 
-    gen = _make_unrolled(m, n, cse=canonical == "unrolled_cse", batched=True)
-    code = compile(gen.source, f"<plan-cache m={m} n={n} {canonical}>", "exec")
-    diskcache.store_entry(
-        m, n, canonical, "numpy",
-        tables=tables,
-        code=code,
-        meta={
-            "effective_backend": "numpy",
-            "batched": True,
-            "source": gen.source,
-            "flops_scalar": gen.flops_scalar,
-            "flops_vector": gen.flops_vector,
-        },
-    )
+    meta = {"effective_backend": backend, "batched": True, "source": ""}
+    code = None
+    if emitted is not None:
+        meta.update(source=emitted.source, flops_scalar=emitted.flops_scalar,
+                    flops_vector=emitted.flops_vector)
+        if backend == "numpy":
+            code = compile(emitted.source,
+                           f"<plan-cache m={m} n={n} {canonical}>", "exec")
+    diskcache.store_entry(m, n, canonical, backend, tables=tables, code=code,
+                          meta=meta)
 
 
 def _build_plan(m: int, n: int, canonical: str, backend: str) -> KernelPlan:
@@ -242,60 +280,36 @@ def _build_plan(m: int, n: int, canonical: str, backend: str) -> KernelPlan:
 
     effective = backend
     meta: dict = {"from_disk": entry is not None}
-    suite: BatchedKernelPair | None = None
+    suite = emitted = None
+    emit_variant = canonical if canonical in _CODEGEN_VARIANTS else None
+    if (backend == "numba" and emit_variant is None
+            and num_unique_entries(m, n) <= MAX_UNROLLED_ENTRIES):
+        emit_variant = "unrolled_cse"  # numba compiles only generated code
+    if backend == "numpy" and emit_variant and entry is not None:
+        suite = _numpy_suite_from_entry(m, n, canonical, entry)
 
-    if backend == "numba":
-        emit_variant = canonical if canonical in _CODEGEN_VARIANTS else (
-            "unrolled_cse" if _unrollable(m, n) else None
-        )
-        if emit_variant is None:
+    if suite is None and emit_variant is None:
+        suite = _library_suite(canonical, m, n)
+        if backend == "numba":
             # no straight-line form at this shape: numpy suite, honestly
-            suite = _batched_suite(canonical, m, n)
             effective = "numpy"
             meta["fallback"] = (
                 f"shape (m={m}, n={n}) exceeds the unroll guard; "
                 f"no generated kernel to JIT"
             )
-        else:
-            from repro.kernels.codegen import emit as codegen_emit
-
-            emitted = codegen_emit(m, n, emit_variant, target="numba")
-            effective = emitted.effective_backend
-            if effective != "numba":
-                meta["fallback"] = emitted.meta.get("fallback", "")
-            if emit_variant != canonical:
-                meta["substituted_variant"] = emit_variant
-            suite = _suite_with_flops(
-                canonical, emitted.ax_m, emitted.ax_m1,
-                emitted.flops_scalar, emitted.flops_vector,
-            )
-            if entry is None and effective == "numba":
-                diskcache.store_entry(
-                    m, n, canonical, "numba",
-                    tables=tables,
-                    meta={
-                        "effective_backend": effective,
-                        "batched": True,
-                        "source": emitted.source,
-                        "flops_scalar": emitted.flops_scalar,
-                        "flops_vector": emitted.flops_vector,
-                    },
-                )
-    else:  # numpy
-        if entry is not None and canonical in _CODEGEN_VARIANTS:
-            suite = _numpy_suite_from_entry(m, n, canonical, entry)
-        if suite is None:
-            suite = _batched_suite(canonical, m, n)
-            if entry is None:
-                if canonical in _CODEGEN_VARIANTS:
-                    _store_numpy_codegen_entry(m, n, canonical, tables)
-                else:
-                    diskcache.store_entry(
-                        m, n, canonical, "numpy",
-                        tables=tables,
-                        meta={"effective_backend": "numpy", "batched": True,
-                              "source": ""},
-                    )
+    elif suite is None:
+        emitted = emit(m, n, emit_variant, target=backend, batched=True)
+        effective = emitted.effective_backend
+        if effective != backend:
+            meta["fallback"] = emitted.meta.get("fallback", "")
+        if emit_variant != canonical:
+            meta["substituted_variant"] = emit_variant
+        suite = _suite_with_flops(
+            canonical, emitted.ax_m, emitted.ax_m1,
+            emitted.flops_scalar, emitted.flops_vector,
+        )
+    if entry is None and effective == backend:  # degraded builds stay off disk
+        _store_entry(m, n, canonical, backend, tables, emitted)
 
     return KernelPlan(
         m=m,
@@ -375,8 +389,6 @@ class PlanCache:
         return len(self._plans)
 
     def __contains__(self, key: tuple) -> bool:
-        if len(key) == 3:  # historical (m, n, variant) keys mean numpy
-            key = (*key, "numpy")
         return tuple(key) in self._plans
 
     def stats(self) -> dict:
@@ -410,46 +422,3 @@ def clear_plan_cache() -> None:
     """Drop every cached plan and reset the counters (mainly for tests)."""
     _DEFAULT_CACHE.clear()
 
-
-def contract_many(
-    values: np.ndarray,
-    x: np.ndarray,
-    kind: str = "ax_m1",
-    *,
-    variant: str = "vectorized",
-    backend: str = "numpy",
-    plan: KernelPlan | None = None,
-    m: int | None = None,
-    n: int | None = None,
-    counter=None,
-) -> np.ndarray:
-    """One entry point for every batched symmetric contraction.
-
-    Evaluates ``A x^m`` (``kind="ax_m"``) or ``A x^{m-1}``
-    (``kind="ax_m1"``) for all broadcast leading-dimension combinations of
-    ``values (..., U)`` against ``x (..., n)``, routing through the plan
-    cache — this unifies the historical split between
-    :mod:`repro.kernels.batched` and :mod:`repro.kernels.blocked_batched`
-    behind one signature (pick ``variant="blocked"`` for the blocked path,
-    ``backend="numba"`` for the native-JIT compilation of the generated
-    kernels).
-
-    ``(m, n)`` are inferred from the trailing axes when not given
-    (raising :class:`~repro.kernels.errors.TableInferenceError` on
-    ambiguity); pass them explicitly on hot paths to skip the search, or
-    pass a prebuilt ``plan`` to skip the cache lookup entirely.
-    """
-    if kind not in ("ax_m", "ax_m1"):
-        raise ValueError(f"kind must be 'ax_m' or 'ax_m1', got {kind!r}")
-    if plan is None:
-        if m is None or n is None:
-            m, n = infer_shape(values, x)
-        plan = get_plan(m, n, variant, backend)
-    else:
-        lead_n = int(np.shape(x)[-1])
-        if plan.n != lead_n:
-            raise KernelLookupError(
-                f"plan is for n={plan.n} but x has trailing dim {lead_n}"
-            )
-    fn = plan.ax_m if kind == "ax_m" else plan.ax_m1
-    return fn(values, x, counter=counter)

@@ -38,6 +38,10 @@ from repro.kernels.tables import kernel_tables
 # emitter registry (``emit(m, n, variant, target="numpy")``)
 __all__ = ["UnrolledKernels"]
 
+#: The unroll guard: shapes with more unique entries than this are never
+#: unrolled (Section V-D: full unrolling only scales to small problems).
+MAX_UNROLLED_ENTRIES = 4000
+
 
 @dataclass(frozen=True)
 class UnrolledKernels:
@@ -220,7 +224,7 @@ def _make_unrolled(m: int, n: int, cse: bool = False, batched: bool = False) -> 
     approach is needed, which it leaves as future work).
     """
     tab = kernel_tables(m, n)
-    if tab.num_unique > 4000:
+    if tab.num_unique > MAX_UNROLLED_ENTRIES:
         raise ValueError(
             f"refusing to unroll m={m}, n={n}: {tab.num_unique} unique entries "
             "(full unrolling only makes sense for small tensors; see Section V-D)"

@@ -100,11 +100,13 @@ def prepare(
     guard_cfg = resolve_guards(resolve_option("guards", guards, config, None))
 
     recorder = current_recorder()
+    charged = counter is not None or recorder is not None
     counter = counter or null_counter()
     if isinstance(kernels, str) or kernels is None:
         kernels = get_kernels(kernels or "precomputed", tensor.m, tensor.n)
     if recorder is not None:
         counter = recorder.flop_counter(mirror=counter)
+    if charged:  # with neither a counter nor a recorder the kernels stay bare
         kernels = instrumented_pair(kernels, counter=counter)
     tel = None
     if telemetry_enabled(telemetry, recorder):

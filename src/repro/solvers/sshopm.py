@@ -137,10 +137,11 @@ def sshopm(
     kernels : a :class:`KernelPair` or variant name (default
         ``"precomputed"``); lets the benchmarks time the same driver over
         every kernel implementation.
-    counter : optional flop counter threaded through the run.  When a
-        recorder is active (see :mod:`repro.instrument`) kernel-model flops
-        are folded into the same stream, so trace totals and counter totals
-        agree.
+    counter : optional flop counter threaded through the run.  It is
+        charged the kernels' cost model (flops, loads, stores) and the
+        update's flops, traced or not; when a recorder is active (see
+        :mod:`repro.instrument`) the same charges land on the trace, so
+        trace totals and counter totals agree.
     config : a :class:`~repro.core.config.SolveConfig` supplying defaults
         for any option not passed explicitly.
     telemetry : record the per-iteration convergence stream

@@ -39,7 +39,6 @@ SIGNATURES = [
     "repro.parallel.parallel_fleet_solve",
     "repro.kernels.get_kernels",
     "repro.kernels.plan.get_plan",
-    "repro.kernels.plan.contract_many",
     "repro.kernels.codegen.emit",
     "repro.kernels.codegen.get_emitter",
     "repro.kernels.codegen.register_emitter",

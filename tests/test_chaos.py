@@ -401,7 +401,7 @@ class TestProcessFleetChaos:
         events = tmp_path / "sigint_events.jsonl"
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(events)],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             cwd=str(ROOT),
         )
@@ -414,12 +414,16 @@ class TestProcessFleetChaos:
                 assert _time.time() < deadline, "no shard_start event in 60 s"
                 _time.sleep(0.02)
             proc.send_signal(_signal.SIGINT)
-            out, _ = proc.communicate(timeout=60)
+            out, err = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
         assert "FINISHED" not in out
+        # the child's resource tracker unlinks whatever the child leaked
+        # when it exits, so an empty /dev/shm alone cannot show a skipped
+        # dispose(); the tracker's shutdown warning does
+        assert "leaked shared_memory" not in err, err
         assert own_segments(proc.pid) == []
 
 
@@ -451,7 +455,7 @@ class TestServeDrainChaos:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
              "--runners", "1", "--checkpoint-dir", str(ckpt)],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             cwd=str(tmp_path),
         )
@@ -474,7 +478,7 @@ class TestServeDrainChaos:
                 assert _time.time() < deadline, "no chunk checkpoint in 60 s"
                 _time.sleep(0.02)
             proc.send_signal(_signal.SIGTERM)
-            out, _ = proc.communicate(timeout=120)
+            out, err = proc.communicate(timeout=120)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -488,6 +492,9 @@ class TestServeDrainChaos:
         # the interrupted job checkpointed its completed chunks
         ck = _json.loads((ckpt / f"job-{job}.json").read_text())
         assert ck["schema"].startswith("repro-ckpt/") and ck["starts"]
+        # the resource tracker's shutdown warning names segments the
+        # daemon leaked and the tracker then unlinked (see the SIGINT test)
+        assert "leaked shared_memory" not in err, err
         assert own_segments(proc.pid) == []
 
 

@@ -13,7 +13,6 @@ from repro.kernels.codegen import (
     available_backends,
     emit,
     generate_flat_source,
-    generated_source,
     get_emitter,
     numba_available,
     register_emitter,
@@ -88,13 +87,6 @@ class TestNumpyEmitter:
     def test_unknown_variant_raises(self):
         with pytest.raises(UnknownVariantError):
             emit(4, 3, "vectorized", target="numpy")
-
-    def test_pregenerated_source_short_circuit(self):
-        src, _, _ = generated_source(3, 3, "unrolled", batched=True)
-        kern = emit(3, 3, "unrolled", target="numpy", batched=True,
-                    source=src)
-        assert kern.meta.get("pregenerated") is True
-        assert kern.executable
 
     def test_emit_is_cached(self):
         assert emit(3, 3, "unrolled") is emit(3, 3, "unrolled")

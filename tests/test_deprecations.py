@@ -104,6 +104,43 @@ class TestGeneratorAliases:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestOneKernelLookup:
+    """After 2.0.0, batched suites come only from
+    ``repro.kernels.plan.get_plan`` and ``get_kernels`` is a per-tensor
+    lookup: the batched/instrumented keywords and the second spellings
+    are gone."""
+
+    @pytest.mark.parametrize("option", [{"batched": True},
+                                        {"instrumented": True},
+                                        {"counter": None}])
+    def test_get_kernels_rejects_removed_keyword(self, option):
+        with pytest.raises(TypeError, match=next(iter(option))):
+            repro.kernels.get_kernels("vectorized", 4, 3, **option)
+
+    def test_available_variants_rejects_batched(self):
+        with pytest.raises(TypeError, match="batched"):
+            repro.kernels.available_variants(batched=True)
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.kernels.plan", "contract_many"),
+        ("repro.kernels.codegen", "generated_source"),
+    ])
+    def test_name_removed(self, module, name):
+        assert not hasattr(import_module(module), name)
+
+    def test_emit_ignores_source_option(self):
+        from repro.kernels.codegen import emit
+
+        plain = emit(3, 3, "unrolled", target="numpy", batched=True)
+        assert emit(3, 3, "unrolled", target="numpy", batched=True,
+                    source="ax_m = ax_m1 = None") is plain
+
+    def test_plan_path_is_silent(self):
+        from repro.kernels.plan import get_plan
+
+        assert catch(lambda: get_plan(4, 3, "batched")) == []
+
+
 class TestCoreSolverShims:
     """``repro.core.sshopm`` / ``repro.core.adaptive`` (and the lockstep
     ``repro.core.multistart``) are gone as modules; the solver *names*

@@ -1,8 +1,8 @@
 """Tests for the instrumentation subsystem (repro.instrument) and the
 unified kernel/solver API surface: span trees, the thread-local recorder,
 flop-total agreement with the legacy FlopCounter, JSON traces, the
-get_kernels(batched=...) dispatch, SolveConfig, and the removed pre-2.0
-spellings."""
+per-tensor get_kernels lookup and the batched get_plan suites, SolveConfig,
+and the removed pre-2.0 spellings."""
 
 import json
 
@@ -24,6 +24,7 @@ from repro.instrument import (
 )
 from repro.instrument.recorder import _NULL_SPAN
 from repro.kernels import UnknownVariantError, available_variants, get_kernels
+from repro.kernels.plan import get_plan
 from repro.mri import extract_fibers_batch, make_phantom
 from repro.parallel import parallel_fleet_solve
 from repro.symtensor import random_symmetric_tensor
@@ -221,13 +222,6 @@ class TestInstrumentedKernels:
         assert rec.find(f"kernel.{variant}.ax_m1").count == 1
         assert rec.total("bytes") > 0
 
-    def test_get_kernels_instrumented_flag(self):
-        counter = FlopCounter()
-        pair = get_kernels("compressed", 4, 3, instrumented=True, counter=counter)
-        tensor = random_symmetric_tensor(4, 3, rng=0)
-        pair.ax_m(tensor, np.array([1.0, 0.0, 0.0]))
-        assert counter.flops == kernel_cost_model(4, 3)["flops_scalar"]
-
     def test_cost_model_matches_table2_formula(self):
         from math import comb
 
@@ -249,13 +243,11 @@ class TestKernelDispatch:
         assert "vectorized" in str(err)
 
     def test_unknown_batched_variant(self):
-        with pytest.raises(UnknownVariantError):
-            get_kernels("nonexistent", 4, 3, batched=True)
-
-    def test_available_variants_lists_batched(self):
-        batched = available_variants(4, 3, batched=True)
-        assert "vectorized" in batched
-        assert "unrolled" in batched
+        with pytest.raises(UnknownVariantError) as excinfo:
+            get_plan(4, 3, "nonexistent")
+        assert excinfo.value.variant == "nonexistent"
+        assert excinfo.value.available == [
+            "blocked", "unrolled", "unrolled_cse", "vectorized", "auto"]
 
     def test_batched_suite_matches_per_tensor(self):
         tensor = random_symmetric_tensor(4, 3, rng=0)
@@ -264,7 +256,7 @@ class TestKernelDispatch:
         values = tensor.values[None, None, :]
         ref = get_kernels("compressed", 4, 3)
         for variant in ("vectorized", "unrolled", "blocked"):
-            suite = get_kernels(variant, 4, 3, batched=True)
+            suite = get_plan(4, 3, variant).suite
             lam = suite.ax_m(values, x)
             y = suite.ax_m1(values, x)
             for v in range(4):
@@ -274,22 +266,21 @@ class TestKernelDispatch:
                 )
 
     def test_batched_aliases_resolve(self):
-        a = get_kernels("batched", 4, 3, batched=True)
-        b = get_kernels("vectorized", 4, 3, batched=True)
-        assert a.name == b.name == "vectorized"
-        assert get_kernels("batched_unrolled", 4, 3, batched=True).name == "unrolled"
+        assert get_plan(4, 3, "batched") is get_plan(4, 3, "vectorized")
+        assert get_plan(4, 3, "batched_unrolled") is get_plan(4, 3, "unrolled")
+        assert get_plan(4, 3, "batched").suite.name == "vectorized"
 
     def test_batched_counter_passthrough(self):
         tensor = random_symmetric_tensor(4, 3, rng=0)
         counter = FlopCounter()
-        suite = get_kernels("vectorized", 4, 3, batched=True)
+        plan = get_plan(4, 3, "vectorized")
         x = np.ones((1, 2, 3)) / np.sqrt(3)
-        suite.ax_m(tensor.values[None, None, :], x, counter=counter)
+        plan.ax_m(tensor.values[None, None, :], x, counter=counter)
         assert counter.flops > 0
 
     def test_flat_aliases_removed(self):
         """The flat batched-kernel aliases left the package namespace;
-        get_kernels(batched=True) is the way to reach those kernels."""
+        get_plan(...).suite is the way to reach those kernels."""
         import repro.kernels as K
 
         for name in ("ax_m_batched", "ax_m1_batched",
@@ -298,7 +289,7 @@ class TestKernelDispatch:
             with pytest.raises(AttributeError):
                 getattr(K, name)
         for variant in ("vectorized", "blocked"):
-            suite = get_kernels(variant, 4, 3, batched=True)
+            suite = get_plan(4, 3, variant).suite
             assert callable(suite.ax_m) and callable(suite.ax_m1)
 
 

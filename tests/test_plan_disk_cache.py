@@ -1,6 +1,7 @@
 """Persistent on-disk kernel-plan cache (repro.kernels.diskcache):
-round-trips, corrupted-file recovery, schema invalidation, and
-concurrent multi-process warm-up."""
+round-trips, corrupted-file recovery, schema invalidation, warm plans
+that compute and charge exactly what cold ones do, and concurrent
+multi-process warm-up."""
 
 import json
 import multiprocessing
@@ -16,6 +17,8 @@ from repro.kernels.plan import clear_plan_cache, get_plan
 from repro.kernels.reference import ax_m1_dense
 from repro.kernels.tables import kernel_tables, tables_from_arrays
 from repro.symtensor.random import random_symmetric_tensor
+from repro.util.combinatorics import num_unique_entries
+from repro.util.flopcount import FlopCounter
 
 M, N, VARIANT = 3, 4, "unrolled_cse"
 
@@ -157,6 +160,38 @@ class TestCorruptionRecovery:
             ax_m1_dense(tensor.to_dense(), x), atol=1e-10)
         entry = diskcache.load_entry(M, N, VARIANT, "numpy")
         assert entry is not None  # rewritten on the cold build
+
+
+class TestWarmPlanMatchesCold:
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("variant", ["vectorized", "unrolled",
+                                         "unrolled_cse", "blocked"])
+    def test_outputs_and_charges_match(self, cache_dir, rng, variant,
+                                       backend):
+        """A plan rebuilt from its disk entry (generated numpy suites
+        exec the stored code and read their flop counts back) computes
+        and charges exactly what the cold build did."""
+        values = rng.standard_normal((5, 1, num_unique_entries(M, N)))
+        x = rng.standard_normal((5, 3, N))
+
+        def run(plan):
+            c_m, c_m1 = FlopCounter(), FlopCounter()
+            return (plan.ax_m(values, x, counter=c_m),
+                    plan.ax_m1(values, x, counter=c_m1),
+                    c_m.snapshot(), c_m1.snapshot())
+
+        cold = get_plan(M, N, variant, backend)
+        assert cold.meta["from_disk"] is False
+        lam, y, charged_m, charged_m1 = run(cold)
+        clear_plan_cache()
+        warm = get_plan(M, N, variant, backend)
+        assert warm is not cold
+        # degraded builds (numba not installed) are never persisted
+        assert warm.meta["from_disk"] == (warm.effective_backend == backend)
+        warm_lam, warm_y, warm_m, warm_m1 = run(warm)
+        assert np.array_equal(warm_lam, lam) and np.array_equal(warm_y, y)
+        assert warm_m == charged_m and warm_m1 == charged_m1
+        assert charged_m["flops"] > 0 and charged_m1["flops"] > 0
 
 
 def _warm_worker(root, queue):

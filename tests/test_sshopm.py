@@ -139,6 +139,21 @@ class TestOptions:
         res = sshopm(tensor, alpha=1.0, rng=rng, counter=counter, max_iters=100)
         assert counter.flops > 0
 
+    def test_untraced_counter_charges_the_kernels(self):
+        """A caller's counter receives the kernels' cost-model charges
+        whether or not a recorder is active, not only the update's
+        ``4n + 1`` flops per iteration."""
+        from repro.instrument import recording
+
+        tensor = random_symmetric_tensor(4, 3, rng=0)
+        opts = dict(alpha=2.0, tol=0.0, max_iters=10, rng=0, telemetry=False)
+        untraced, traced = FlopCounter(), FlopCounter()
+        sshopm(tensor, counter=untraced, **opts)
+        with recording():
+            sshopm(tensor, counter=traced, **opts)
+        assert untraced.snapshot() == traced.snapshot()
+        assert untraced.flops > 10 * (4 * 3 + 1)
+
     def test_x0_validation(self, rng):
         tensor = random_symmetric_tensor(3, 3, rng=rng)
         with pytest.raises(ValueError):
