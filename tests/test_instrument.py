@@ -249,6 +249,19 @@ class TestKernelDispatch:
         assert excinfo.value.available == [
             "blocked", "unrolled", "unrolled_cse", "vectorized", "auto"]
 
+    def test_available_variants_lists_batched(self):
+        """get_plan lists the batched names on an unknown variant (the
+        ``available_variants(batched=True)`` listing is removed), and each
+        listed name builds a plan at (4, 3)."""
+        with pytest.raises(UnknownVariantError) as excinfo:
+            get_plan(4, 3, "nonexistent")
+        batched = excinfo.value.available
+        assert "vectorized" in batched
+        assert "unrolled" in batched
+        for variant in batched:
+            if variant != "auto":
+                assert get_plan(4, 3, variant).variant == variant
+
     def test_batched_suite_matches_per_tensor(self):
         tensor = random_symmetric_tensor(4, 3, rng=0)
         x = np.random.default_rng(1).normal(size=(1, 4, 3))
