@@ -45,7 +45,7 @@ bench:  ## paper reproduction benchmarks (slow)
 bench-overhead:  ## assert the <5% disabled-instrumentation budget
 	python -m pytest -q benchmarks/bench_instrument_overhead.py
 
-kernel-bench:  ## A x^{m-1} cost per call at 1-65,536 lanes -> benchmarks/results/kernel_lanes.txt (records only)
+kernel-bench:  ## A x^{m-1} cost per call of both evaluation orders at 1-65,536 lanes -> benchmarks/results/kernel_lanes.txt (records only)
 	python -m pytest -q benchmarks/bench_kernel_lanes.py
 
 events-check:  ## event stream: <5% disabled budget + every line schema-valid

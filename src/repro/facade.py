@@ -354,11 +354,15 @@ def solve(
         # is the batched-variant spelling of variant= ("auto" included — it
         # predates the codegen axis and still means the variant race;
         # spell codegen racing as codegen_backend="auto" or a direct
-        # fleet_solve(backend="auto") call).
+        # fleet_solve(backend="auto") call).  Codegen's emitter lookup
+        # decides, so its alias table is the only one.
         if "backend" in fleet_opts:
-            from repro.kernels.codegen import available_backends
+            from repro.kernels.codegen import get_emitter
+            from repro.kernels.errors import UnknownBackendError
 
-            if fleet_opts["backend"] not in (*available_backends(), "cuda"):
+            try:
+                get_emitter(fleet_opts["backend"])
+            except UnknownBackendError:
                 if "variant" not in fleet_opts:
                     fleet_opts["variant"] = fleet_opts.pop("backend")
                 else:

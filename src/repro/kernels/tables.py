@@ -15,10 +15,17 @@ shape (on the GPU the index array is shared by every thread block).
 * the *row expansion* of the ``A x^(m-1)`` kernel: Figure 3's doubly-nested
   loop flattened into ``R`` independent rows, one per (class, distinct index)
   pair, each carrying its coefficient ``sigma`` and the ``m-1`` remaining
-  factor indices.  Rows are sorted by output entry so vectorized kernels can
-  segment-reduce with ``np.add.reduceat``; every output segment lists the
-  same ``R/n`` remaining-factor tuples, with the same ``sigma``, in the
-  same order.
+  factor indices.  Rows are sorted by output entry, and every output
+  segment lists the same ``R/n`` remaining-factor tuples, with the same
+  ``sigma``, in the same order.  The batched kernel
+  (:func:`repro.kernels.batched.ax_m1_batched`) evaluates this expansion
+  in two orders with the same bits: below its crossover lane count it
+  gathers the rows and segment-reduces them with ``np.add.reduceat``;
+  from there up it runs a row program compiled from these tables at
+  first use (one ufunc call per product and term on contiguous lane
+  rows, each product formed once, terms added in ``reduceat``'s order,
+  lane blocks sized so the program's scratch rows fill a 2 MiB L2).
+  Nothing of the row program is stored here or in the disk cache.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.kernels.batched import (
+    _ROW_CROSSOVER,
     _lane_block,
+    _row_program,
+    _segment_steps,
     ax_m1_batched,
     ax_m_batched,
     monomials_batched,
@@ -66,6 +69,25 @@ def _ax_m1_unblocked(values, x, tab):
     return np.add.reduceat(contrib, tab.out_starts[:-1], axis=-1)
 
 
+def _reference(values, x, tab, chunk=512):
+    """:func:`_ax_m1_unblocked` on the broadcast lanes, ``chunk`` lanes
+    at a time so its ``(lanes, R)`` temporaries stay small; each lane's
+    arithmetic does not depend on the chunk."""
+    lead = np.broadcast_shapes(np.shape(values)[:-1], np.shape(x)[:-1])
+    values = np.broadcast_to(values, lead + np.shape(values)[-1:])
+    x = np.broadcast_to(x, lead + np.shape(x)[-1:])
+    values = values.reshape(-1, tab.num_unique)
+    x = x.reshape(-1, tab.n)
+    parts = [_ax_m1_unblocked(values[s:s + chunk], x[s:s + chunk], tab)
+             for s in range(0, max(len(x), 1), chunk)]
+    return np.concatenate(parts).reshape(lead + (tab.n,))
+
+
+def _row_block(tab, dtype):
+    """Lanes per row-program block for ``tab``'s shape and ``dtype``."""
+    return _row_program(tab).block(np.dtype(dtype))
+
+
 # (2, 1) has single-row output segments; (5, 8) has 330 rows per segment
 BLOCKING_SHAPES = [(2, 1), (2, 3), (3, 3), (4, 3), (4, 4), (3, 6), (6, 3),
                    (5, 5), (2, 8), (8, 2), (5, 8)]
@@ -88,16 +110,20 @@ def _random(rng, shape, dtype):
                          ids=lambda p: f"m{p[0]}n{p[1]}")
 class TestLaneBlocking:
     """The blocked, lanes-last ``A x^{m-1}`` kernel against the unblocked
-    formula, on both sides of every block edge."""
+    formula, on both sides of every block edge and of the row program's
+    crossover (float calls from :data:`_ROW_CROSSOVER` lanes run the row
+    program; int32 and mixed-dtype calls always run the gather order)."""
 
     def test_lane_counts_around_block_edges(self, shape, dtype, rng):
         m, n = shape
         tab = kernel_tables(m, n)
         block = _lane_block(tab.num_rows)
-        for lanes in (1, block - 1, block, block + 1, 3 * block + 7):
+        for lanes in (1, block - 1, block, block + 1, 3 * block + 7,
+                      _ROW_CROSSOVER - 1, _ROW_CROSSOVER, _ROW_CROSSOVER + 1,
+                      2 * _row_block(tab, dtype) + 7):
             values = _random(rng, (lanes, tab.num_unique), dtype)
             x = _random(rng, (lanes, n), dtype)
-            want = _ax_m1_unblocked(values, x, tab)
+            want = _reference(values, x, tab)
             got = ax_m1_batched(values, x, tables=tab)
             _assert_same_bits(got, want)
             assert got.flags.c_contiguous
@@ -110,42 +136,120 @@ class TestLaneBlocking:
     def test_mixed_value_and_vector_dtypes(self, shape, dtype, rng):
         m, n = shape
         tab = kernel_tables(m, n)
-        lanes = _lane_block(tab.num_rows) + 1
-        for x_dtype in (np.float64, np.float32, np.int32):
-            values = _random(rng, (lanes, tab.num_unique), dtype)
-            x = _random(rng, (lanes, n), x_dtype)
-            _assert_same_bits(ax_m1_batched(values, x, tables=tab),
-                              _ax_m1_unblocked(values, x, tab))
+        for lanes in (_lane_block(tab.num_rows) + 1, _ROW_CROSSOVER + 1):
+            for x_dtype in (np.float64, np.float32, np.int32):
+                values = _random(rng, (lanes, tab.num_unique), dtype)
+                x = _random(rng, (lanes, n), x_dtype)
+                _assert_same_bits(ax_m1_batched(values, x, tables=tab),
+                                  _reference(values, x, tab))
 
     def test_broadcast_forms(self, shape, dtype, rng):
         m, n = shape
         tab = kernel_tables(m, n)
-        block = _lane_block(tab.num_rows)
-        T, V = 3, block + 5  # every form spans several blocks
-        values = _random(rng, (T, 1, tab.num_unique), dtype)
-        x = _random(rng, (T, V, n), dtype)
-        lanes = _random(rng, (T * V, tab.num_unique), dtype)
-        for a, b in (
-            (values, x),                      # (T,1,U) x (T,V,n)
-            (values, np.asfortranarray(x)),
-            (values[0, 0], x[0]),             # (U,) x (V,n)
-            (lanes, x[0, 0]),                 # (A,U) x (n,)
-        ):
-            _assert_same_bits(ax_m1_batched(a, b, tables=tab),
-                              _ax_m1_unblocked(a, b, tab))
+        T = 3
+        # every form spans several gather blocks; the second V takes the
+        # row program in every form
+        for V in (_lane_block(tab.num_rows) + 5, _ROW_CROSSOVER + 5):
+            values = _random(rng, (T, 1, tab.num_unique), dtype)
+            x = _random(rng, (T, V, n), dtype)
+            lanes = _random(rng, (T * V, tab.num_unique), dtype)
+            for a, b in (
+                (values, x),                      # (T,1,U) x (T,V,n)
+                (values, np.asfortranarray(x)),
+                (values[0, 0], x[0]),             # (U,) x (V,n)
+                (lanes, x[0, 0]),                 # (A,U) x (n,)
+            ):
+                _assert_same_bits(ax_m1_batched(a, b, tables=tab),
+                                  _reference(a, b, tab))
 
     def test_lane_split_matches_whole_batch(self, shape, dtype, rng):
+        """Slices of a call give the same bits as the whole call, including
+        a whole call above the crossover cut into slices below it, so a
+        lane's answer does not depend on the size of the call it is in."""
         m, n = shape
         tab = kernel_tables(m, n)
         block = _lane_block(tab.num_rows)
-        lanes = 3 * block + 7
-        values = _random(rng, (lanes, tab.num_unique), dtype)
-        x = _random(rng, (lanes, n), dtype)
-        whole = ax_m1_batched(values, x, tables=tab)
-        for s, e in ((0, 1), (5, block + 9), (block - 3, 2 * block + 1),
-                     (2 * block, lanes)):
-            _assert_same_bits(ax_m1_batched(values[s:e], x[s:e], tables=tab),
-                              whole[s:e])
+        row_block = _row_block(tab, dtype)
+        below = _ROW_CROSSOVER - 1
+        for lanes, cuts in (
+            (3 * block + 7, ((0, 1), (5, block + 9), (block - 3, 2 * block + 1),
+                             (2 * block, 3 * block + 7))),
+            (2 * row_block + 7, ((0, below), (row_block - 9, row_block - 9 + below),
+                                 (2 * row_block + 7 - below, 2 * row_block + 7),
+                                 (row_block - 5, row_block + 2 * below))),
+        ):
+            values = _random(rng, (lanes, tab.num_unique), dtype)
+            x = _random(rng, (lanes, n), dtype)
+            whole = ax_m1_batched(values, x, tables=tab)
+            for s, e in cuts:
+                _assert_same_bits(ax_m1_batched(values[s:e], x[s:e], tables=tab),
+                                  whole[s:e])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", BLOCKING_SHAPES,
+                         ids=lambda p: f"m{p[0]}n{p[1]}")
+class TestRowProgramValues:
+    """The row program on the values random data rarely produces."""
+
+    def _lanes(self, rng, tab, dtype):
+        lanes = _ROW_CROSSOVER + 3
+        values = rng.normal(size=(tab.num_unique, lanes)).astype(dtype).T
+        x = rng.normal(size=(lanes, tab.n)).astype(dtype)
+        return values, x
+
+    def test_signed_zeros_same_bytes(self, shape, dtype, rng):
+        """numpy sums a short segment from -0.0, so a segment whose terms
+        are all -0.0 sums to -0.0; a sum started at +0.0 gives +0.0."""
+        tab = kernel_tables(*shape)
+        values, x = self._lanes(rng, tab, dtype)
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.3] *= -1.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        values[:300] = -0.0  # every term -0.0 ...
+        x[:300] = np.abs(x[:300]) + 1.0  # ... times a positive product
+        x[300:400] = 0.0  # every product +0.0, times values of both signs
+        x[400:500] *= np.sqrt(np.finfo(dtype).tiny)  # products underflow
+        want = _reference(values, x, tab)
+        assert (np.signbit(want[:300]) & (want[:300] == 0)).all()
+        assert ax_m1_batched(values, x, tables=tab).tobytes() == want.tobytes()
+
+    def test_nan_and_inf_propagate_alike(self, shape, dtype, rng):
+        """NaN and +-Inf land in the same outputs; only NaN sign and
+        payload bits may differ between the two orders."""
+        tab = kernel_tables(*shape)
+        values, x = self._lanes(rng, tab, dtype)
+        values[rng.random(values.shape) < 0.01] = np.nan
+        values[rng.random(values.shape) < 0.01] = np.inf
+        values[rng.random(values.shape) < 0.01] = -np.inf
+        x[rng.random(x.shape) < 0.01] = -np.inf
+        x[rng.random(x.shape) < 0.01] = 0.0  # Inf * 0 makes NaN
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _reference(values, x, tab)
+            got = ax_m1_batched(values, x, tables=tab)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_segment_steps_follow_reduceat_order(dtype):
+    """The row program's summation steps reproduce ``np.add.reduceat``'s
+    order for every segment length up to 300 (numpy switches order at 8
+    and 128 terms and splits longer sums), so a numpy upgrade that
+    changes the order fails here rather than making a lane's answer
+    depend on the size of its call."""
+    rng = np.random.default_rng(7)
+    for count in range(1, 301):
+        # magnitudes spread over 12 decades make every reordering visible
+        terms = (rng.normal(size=(count, 64))
+                 * 10.0 ** rng.uniform(-6, 6, size=(count, 64))).astype(dtype)
+        registers = {}
+        for op, r, q in _segment_steps(count):
+            registers[r] = (terms[q].copy() if op == "term"
+                            else registers[r] + registers[q])
+        want = np.add.reduceat(terms, [0], axis=0)[0]
+        assert registers[0].tobytes() == want.tobytes(), count
 
 
 class TestMonomials:

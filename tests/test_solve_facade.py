@@ -125,6 +125,22 @@ class TestReport:
                           max_iters=100, backend="unrolled")
         assert rep.result.variant == "unrolled"
 
+    def test_backend_aliases_come_from_codegen(self, batch, monkeypatch):
+        """``backend=`` names a codegen backend exactly when codegen's alias
+        table resolves it to an emitter, so a new alias reaches the fleet
+        as a backend, not as a variant name."""
+        from repro.kernels import codegen
+        from repro.kernels.errors import KernelLookupError
+
+        monkeypatch.setitem(codegen._BACKEND_ALIASES, "np", "numpy")
+        kwargs = dict(starts=4, alpha=5.0, rng=0, max_iters=100)
+        aliased = repro.solve(batch, backend="np", **kwargs).result
+        direct = repro.solve(batch, backend="numpy", **kwargs).result
+        assert aliased.variant == "vectorized"
+        np.testing.assert_array_equal(aliased.eigenvalues, direct.eigenvalues)
+        with pytest.raises(KernelLookupError, match="cuda-src"):
+            repro.solve(batch, backend="cuda", **kwargs)
+
     def test_bad_starts_ndim_rejected(self, tensor):
         with pytest.raises(ValueError, match="starts"):
             repro.solve(tensor, starts=np.zeros((2, 2, 2)))
