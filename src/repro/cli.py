@@ -889,7 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission queue capacity; requests beyond it get "
                    "a structured 429 with Retry-After (default 32)")
     p.add_argument("--runners", type=int, default=2, metavar="N",
-                   help="concurrent job runner threads (default 2)")
+                   help="concurrent job runner threads, so also the most "
+                   "jobs whose ready chunks merge into one fleet solve "
+                   "(default 2)")
     p.add_argument("--checkpoint-dir", default="serve-ckpt", metavar="DIR",
                    help="directory for per-job chunk checkpoints and the "
                    "drain manifest (default serve-ckpt/)")

@@ -71,6 +71,9 @@ class FleetResult:
     tensors : the solved batch (kept so :meth:`eigenpairs` can classify
         and compute residuals without re-threading it), or ``None`` for
         results reloaded from disk.
+    stopped_tensors : ``(T,)`` bool — the tensors whose live lanes a
+        per-tensor stop mask retired (see ``fleet_solve(stop=)``), or
+        ``None`` when no mask retired any lane.
     """
 
     eigenvalues: np.ndarray
@@ -85,6 +88,7 @@ class FleetResult:
     compactions: int = 0
     stopped: bool = False
     tensors: Any = field(default=None, repr=False)
+    stopped_tensors: np.ndarray | None = None
 
     @property
     def num_tensors(self) -> int:

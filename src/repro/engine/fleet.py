@@ -147,15 +147,20 @@ def _lane_values(values: np.ndarray, tensor_of: np.ndarray) -> np.ndarray:
     return values.T.take(tensor_of, axis=1).T
 
 
-def _resolve_starts(starts, num_starts, n, scheme, rng, dtype) -> np.ndarray:
+def _resolve_starts(starts, num_starts, n, scheme, rng, dtype,
+                    T: int) -> np.ndarray:
     # generated starts take the same normalization as explicit ones, so a
-    # tier that generates the set and hands it on solves bit-identically
+    # tier that generates the set and hands it on solves bit-identically;
+    # each row is normalized alone, so a (V, n) set and its per-tensor
+    # (T, V, n) copies give the same bits
     if starts is None:
         starts = starting_vectors(num_starts, n, scheme=scheme, rng=rng)
     starts = np.asarray(starts, dtype=dtype)
-    if starts.ndim != 2 or starts.shape[1] != n:
-        raise ValueError(f"starts must have shape (V, {n}), got {starts.shape}")
-    norms = np.linalg.norm(starts, axis=1, keepdims=True)
+    if starts.shape[-1:] != (n,) or starts.ndim not in (2, 3) or (
+            starts.ndim == 3 and starts.shape[0] != T):
+        raise ValueError(f"starts must have shape (V, {n}) or "
+                         f"({T}, V, {n}), got {starts.shape}")
+    norms = np.linalg.norm(starts, axis=-1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("starting vectors must be nonzero")
     return starts / norms
@@ -195,8 +200,10 @@ def fleet_solve(
         seeks minima), ``|delta lambda|`` threshold (default ``1e-10``)
         and sweep cap (default 500).
     starts, scheme, rng, dtype : explicit ``(V, n)`` starts shared by
-        every tensor, else ``scheme`` (``"random"``/``"fibonacci"``)
-        drawn from ``rng``; compute precision (default float64).
+        every tensor, or ``(T, V, n)`` starts of each tensor's own (a
+        merged run of several jobs' chunks, each job drawing its own
+        set), else ``scheme`` (``"random"``/``"fibonacci"``) drawn from
+        ``rng``; compute precision (default float64).
     counter, config, telemetry : flop counter; a
         :class:`~repro.core.config.SolveConfig` supplying any option not
         passed; per-sweep telemetry (default: on when a recorder is).
@@ -243,7 +250,13 @@ def fleet_solve(
         written back (``converged=False``, ``failed=False``, its last
         iterate and current sweep count) and the result is returned with
         ``stopped=True``.  Lanes that already retired are untouched, so
-        a stopped run never corrupts or drops completed work.
+        a stopped run never corrupts or drops completed work.  ``stop``
+        may instead return a ``(T,)`` boolean mask: only the marked
+        tensors' live lanes retire that way, the others run on, and
+        ``result.stopped_tensors`` marks the tensors whose live lanes a
+        mask retired (``result.stopped`` is true when any did).  A
+        tensor marked after its lanes all retired keeps its rows and is
+        not counted as stopped.
 
     Returns a :class:`~repro.core.results.FleetResult` with the
     ``(T, V)`` lane grid.  Lanes never interact, so a lane's result is
@@ -290,8 +303,8 @@ def fleet_solve(
     if recorder is not None:
         counter = recorder.flop_counter(mirror=counter)
 
-    starts = _resolve_starts(starts, num_starts, n, scheme, rng, dtype)
-    V = starts.shape[0]
+    starts = _resolve_starts(starts, num_starts, n, scheme, rng, dtype, T)
+    V = starts.shape[-2]
     L = T * V
 
     if plan is None:
@@ -326,7 +339,8 @@ def fleet_solve(
     # unconditionally (no masked assignments in the hot loop).
     idx = np.arange(L)                                        # global lane ids
     tensor_of = idx // V                                      # (A,)
-    x = np.tile(starts, (T, 1)).astype(dtype, copy=True)      # (A, n)
+    x = (np.tile(starts, (T, 1)) if starts.ndim == 2          # (A, n)
+         else starts.reshape(L, n)).astype(dtype, copy=True)
     alpha_lane = np.full(L, alpha, dtype=np.float64)
     uniform_shift = not (osc_adaptive or geap_mode)           # scalar fast path
     any_neg = alpha < 0
@@ -363,6 +377,7 @@ def fleet_solve(
     sweeps = 0
     compactions = 0
     was_stopped = False
+    stopped_tensors = None  # (T,) once a stop returns a per-tensor mask
 
     def write_back(sel: np.ndarray, lam_of: np.ndarray, converged: bool,
                    failed: bool) -> None:
@@ -387,7 +402,26 @@ def fleet_solve(
         for _ in range(max_iters):
             if not live.any():
                 break
-            if stop is not None and stop():
+            halt = stop() if stop is not None else False
+            if np.ndim(halt):
+                # per-tensor cancellation (one job of a merged run): retire
+                # the marked tensors' live lanes now, as a whole-run stop
+                # would, and let every other lane run on
+                halt = np.asarray(halt, dtype=bool)
+                if halt.shape != (T,):
+                    raise ValueError(f"a stop mask must have shape ({T},), "
+                                     f"got {halt.shape}")
+                hit = live & halt[tensor_of]
+                if hit.any():
+                    write_back(hit, lam, converged=False, failed=False)
+                    live &= ~hit
+                    if stopped_tensors is None:
+                        stopped_tensors = np.zeros(T, dtype=bool)
+                    stopped_tensors[tensor_of[hit]] = True
+                    _emit("stop", active=int(hit.sum()), sweep=sweeps)
+                    if not live.any():
+                        break
+            elif halt:
                 # cancelled (deadline / budget / drain): retire the
                 # still-active lanes through the normal write-back path
                 # below, exactly like running out of iterations
@@ -553,6 +587,7 @@ def fleet_solve(
         telemetry=tel,
         variant=plan.variant,
         compactions=compactions,
-        stopped=was_stopped,
+        stopped=was_stopped or stopped_tensors is not None,
         tensors=tensors,
+        stopped_tensors=stopped_tensors,
     )

@@ -93,7 +93,9 @@ class FleetRunReport:
     ``shard_seconds`` the per-shard wall times (their spread is the load
     imbalance the partition could not avoid — see :meth:`imbalance`).
     ``executor`` is the tier that actually ran (``"auto"`` resolves
-    before execution); ``requeues``/``failed_shards`` are the process
+    before execution, and a single-shard run, which is inline on the
+    calling thread, reports ``"thread"`` whatever tier was asked for);
+    ``requeues``/``failed_shards`` are the process
     tier's crash accounting (a requeued shard, a written-off shard).
     ``workers_traced`` counts the worker span subtrees stitched into the
     caller's trace (0 when tracing was off or the run was a degenerate
@@ -204,8 +206,11 @@ def parallel_fleet_solve(
     the same defaults and the same ``config`` resolution; every shard
     shares one starting-vector set, so the merged ``(T, V)`` result is
     bit-for-bit a single-worker fleet run with the same starts (shard
-    boundaries change lane scheduling, not arithmetic).  The tier-specific
-    ones:
+    boundaries change lane scheduling, not arithmetic).  Per-tensor
+    ``(T, V, n)`` starts and a ``stop`` returning a ``(T,)`` mask are
+    for one fleet only: they pass through the single-shard path, and
+    ``(T, V, n)`` starts with more than one shard raise ``ValueError``
+    before any worker starts.  The tier-specific ones:
 
     executor : ``"thread"`` (default), ``"process"`` (zero-copy
         shared-memory worker processes), or ``"auto"`` (cost-model pick);
@@ -273,11 +278,18 @@ def parallel_fleet_solve(
         # explicit starts pass through: fleet_solve validates them
         starts = starting_vectors(num_starts, tensors.n, scheme=scheme,
                                   rng=rng, dtype=dtype)
+    elif np.ndim(starts) == 3 and workers > 1:
+        # shards take tensor slices but every shard gets the whole starts
+        # array, so per-tensor starts would reach workers misshapen
+        raise ValueError(
+            f"per-tensor (T, V, n) starts need a single-shard run, got "
+            f"workers={workers}")
+    V = np.shape(starts)[-2]
 
-    weights = _shard_weights(tensors, starts.shape[0])
+    weights = _shard_weights(tensors, V)
     if executor == "auto":
         estimate = estimate_fleet_comm(
-            T, tensors.values.shape[1], starts.shape[0], tensors.n,
+            T, tensors.values.shape[1], V, tensors.n,
             workers, m=tensors.m, sweeps=max_iters // 4 or 1)
         choice = choose_executor(estimate)
         executor = choice.executor
@@ -292,7 +304,6 @@ def parallel_fleet_solve(
 
     parent = current_recorder()
     t0 = time.perf_counter()
-    V = starts.shape[0]
 
     with contextlib.ExitStack() as _stack:
         spool = current_spool()
@@ -323,7 +334,7 @@ def parallel_fleet_solve(
             _emit("run_finish", seconds=elapsed, requeues=0, failed=0)
             return FleetRunReport(
                 result=res, workers=1, seconds=elapsed,
-                shard_sizes=[T], shard_seconds=[elapsed], executor=executor,
+                shard_sizes=[T], shard_seconds=[elapsed], executor="thread",
             )
 
         if executor == "process":

@@ -198,7 +198,13 @@ class Job:
         self.result: dict | None = None
         self.checkpoint: str | None = None
         self.stop_event = threading.Event()
+        #: set when a runner starts the job
+        self.start_event = threading.Event()
         self.done_event = threading.Event()
+        #: set with ``done_event``, or when a drain leaves the job queued
+        #: in its manifest — a client waiting on the job is answered
+        #: either way
+        self.reply_event = threading.Event()
         self.lock = threading.Lock()
 
     def finish(self, status: str, *, error: str | None = None) -> None:
@@ -208,6 +214,7 @@ class Job:
             self.error = error
             self.seconds = time.time() - self.created
         self.done_event.set()
+        self.reply_event.set()
         observe_serve_job(status, self.seconds)
         _emit("job_finish", job=self.id, status=status, seconds=self.seconds)
 
@@ -274,7 +281,7 @@ def _merge_rows(rows: dict, T: int, V: int, n: int) -> dict:
 
 
 def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
-            protect=None) -> None:
+            protect=None, batcher=None) -> None:
     """Execute ``job`` chunk by chunk; always leaves it in a terminal
     state (the runner thread must survive any single job).
 
@@ -285,6 +292,11 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     checkpoint paths that pruning must never touch — the server passes
     its live in-flight set, so one job finishing cannot delete the
     checkpoint another running job would need at the next drain.
+    ``batcher`` is a :class:`~repro.serve.batcher.ChunkBatcher` shared
+    by concurrent jobs: the chunks of an ``sshopm``/``geap`` job on the
+    thread tier with one worker and no faults are solved through it,
+    merged with the chunks other jobs have ready, with bit-identical
+    rows; every other chunk runs as without it.
     """
     from repro.parallel.fleet import parallel_fleet_solve
 
@@ -292,6 +304,7 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     _emit("job_start", job=job.id)
     with job.lock:
         job.status = "running"
+    job.start_event.set()
     try:
         batch = spec.build_batch()
         starts = spec.build_starts(batch.n)
@@ -362,9 +375,14 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     # process life — fine for chaos injection.)  QRST has no shards: its
     # fault keys are job-global tensor indices.
     shards_seen = 0
+    # process/auto chunks consult the breaker and faults are placed by
+    # shard id, so only plain thread-tier fleet chunks merge
+    mergeable = (batcher is not None and spec.method != "qrst"
+                 and spec.executor == "thread" and spec.workers == 1
+                 and not spec.faults)
 
     def solve_chunk(keys: list[int]) -> dict | None:
-        nonlocal shards_seen, deadline_cut
+        nonlocal deadline_cut
         sub = batch.subset(np.asarray(keys))
         if spec.method == "qrst":
             from repro.solvers.qrst import qrst_batch
@@ -394,38 +412,11 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
                 stop=job.stop_event.is_set, deadline=deadline,
                 faults=faults,
                 adaptive=("geap" if spec.method == "geap" else False))
-            # the breaker judges every run that may use the process tier
-            judged = breaker is not None and executor != "thread"
-            try:
-                report = parallel_fleet_solve(sub, executor=executor,
-                                              **options)
-            except Exception as exc:
-                if not judged:
-                    raise
-                breaker.record_failure()
-                # degrade this chunk to the thread tier and carry on
-                degrade()
-                _log.warning("process tier failed; retrying on threads",
-                             fields={"job": job.id, "chunk": keys[0],
-                                     "error": str(exc)})
-                report = parallel_fleet_solve(sub, executor="thread",
-                                              **options)
+            if mergeable:
+                result = batcher.solve(job, sub,
+                                       dict(executor=executor, **options))
             else:
-                if judged:
-                    # a recovered crash (requeues) still signals instability
-                    if report.requeues or report.failed_shards:
-                        breaker.record_failure()
-                    elif report.executor == "process":
-                        breaker.record_success()
-                    else:
-                        # clean run that resolved to the thread tier (e.g.
-                        # executor="auto"): the process tier was never
-                        # exercised, so a held half-open probe must be
-                        # handed back — neither verdict applies, and
-                        # keeping the lease would block every later probe
-                        breaker.abandon_probe()
-                shards_seen += len(report.shard_sizes)
-            result = report.result
+                result = solve_alone(sub, executor, options, keys[0])
         if result.stopped:
             if job.stop_event.is_set():
                 # drain: the cancelled chunk is partial — discard it; the
@@ -433,6 +424,40 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
                 return None
             deadline_cut = True
         return {str(t): _row_record(result, i) for i, t in enumerate(keys)}
+
+    def solve_alone(sub, executor: str, options: dict, first: int):
+        nonlocal shards_seen
+        # the breaker judges every run that may use the process tier
+        judged = breaker is not None and executor != "thread"
+        try:
+            report = parallel_fleet_solve(sub, executor=executor, **options)
+        except Exception as exc:
+            if not judged:
+                raise
+            breaker.record_failure()
+            # degrade this chunk to the thread tier and carry on
+            degrade()
+            _log.warning("process tier failed; retrying on threads",
+                         fields={"job": job.id, "chunk": first,
+                                 "error": str(exc)})
+            report = parallel_fleet_solve(sub, executor="thread", **options)
+        else:
+            if judged:
+                # a recovered crash (requeues) still signals instability
+                if report.requeues or report.failed_shards:
+                    breaker.record_failure()
+                elif report.executor == "process":
+                    breaker.record_success()
+                else:
+                    # clean run that resolved to the thread tier (e.g.
+                    # executor="auto", or one shard run inline): the
+                    # process tier was never exercised, so a held
+                    # half-open probe must be handed back — neither
+                    # verdict applies, and keeping the lease would block
+                    # every later probe
+                    breaker.abandon_probe()
+            shards_seen += len(report.shard_sizes)
+        return report.result
 
     try:
         finished = run_chunks(
@@ -442,6 +467,9 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     except Exception as exc:
         job.finish("failed", error=str(exc))
         return
+    finally:
+        if mergeable:
+            batcher.leave(job)
     if not finished and job.stop_event.is_set():
         job.finish("interrupted")
         return

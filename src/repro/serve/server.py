@@ -6,17 +6,20 @@ no-new-runtime-deps rule.  The moving parts:
 * :class:`ServeConfig` — every tuning knob, CLI-settable.
 * :class:`EigenServer` — owns the admission queue, the circuit breaker,
   the job table, ``runners`` worker threads executing jobs through
-  :func:`repro.serve.jobs.run_job`, and the HTTP server on a background
-  thread.  ``serve_forever`` installs SIGTERM/SIGINT handlers whose only
-  action is setting an event; the main thread then performs the drain —
-  signal handlers never touch locks.
+  :func:`repro.serve.jobs.run_job`, the chunk batcher that merges their
+  ready chunks into one fleet solve (:mod:`repro.serve.batcher`), and
+  the HTTP server on a background thread.  ``serve_forever`` installs
+  SIGTERM/SIGINT handlers whose only action is setting an event; the
+  main thread then performs the drain — signal handlers never touch
+  locks.
 * :class:`_Handler` — the endpoint surface: ``POST /solve`` (async 202,
   or ``?wait=1`` to block until terminal), ``GET /jobs/<id>``,
   ``GET /healthz`` (live/ready split), ``GET /metrics`` (Prometheus
   text).
 
 Drain lifecycle (see ``docs/serve.md``): signal → intake closes (new
-``/solve`` gets 503, ``ready`` goes false) → in-flight jobs' stop events
+``/solve`` gets 503, ``ready`` goes false, ``?wait=1`` clients of queued
+jobs get their 503) → in-flight jobs' stop events
 fire, cancelling their current chunk through the engine's
 lane-retirement path → runner threads park → a ``repro-drain/1``
 manifest records the queued + interrupted jobs → exit 0.  A restart with
@@ -42,6 +45,7 @@ from repro.instrument.metrics import (
     observe_serve_request,
 )
 from repro.serve.admission import AdmissionError, AdmissionQueue
+from repro.serve.batcher import ChunkBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.drain import (
     clear_drain_manifest,
@@ -61,7 +65,12 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 @dataclass
 class ServeConfig:
-    """Tuning knobs of one server instance (see ``docs/serve.md``)."""
+    """Tuning knobs of one server instance (see ``docs/serve.md``).
+
+    ``runners`` is the number of job runner threads, so it caps the jobs
+    in flight and with them how many jobs' chunks one merged fleet solve
+    can hold.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -90,6 +99,7 @@ class EigenServer:
         self.breaker = CircuitBreaker(
             threshold=config.breaker_threshold,
             reset_after=config.breaker_reset)
+        self.batcher = ChunkBatcher()
         self.jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._running: set[str] = set()
@@ -165,6 +175,8 @@ class EigenServer:
             return {"queued": 0, "interrupted": 0, "manifest": None}
         self.draining = True
         queued_jobs = self.queue.close()
+        for job in queued_jobs:
+            job.reply_event.set()  # answer ?wait=1 clients: still queued
         # close() and take(register=...) serialize on the queue lock, so
         # every job popped before close is already in _running here —
         # between the tail above and this snapshot, no job can fall
@@ -308,7 +320,8 @@ class EigenServer:
             try:
                 run_job(job, breaker=self.breaker, ckpt_dir=self.ckpt_dir,
                         keep=self.config.keep,
-                        protect=self._live_checkpoints)
+                        protect=self._live_checkpoints,
+                        batcher=self.batcher)
             except Exception as exc:  # pragma: no cover - defensive
                 _log.error("runner crashed on job",
                            fields={"job": job.id, "error": str(exc)})
@@ -413,8 +426,18 @@ class _Handler(BaseHTTPRequestHandler):
             return
         wait = "wait=1" in query or "wait=true" in query
         if wait:
-            job.done_event.wait()
-            self._send_json(200, job.to_doc())
+            job.reply_event.wait()
+            if job.done_event.is_set():
+                self._send_json(200, job.to_doc())
+            else:
+                # a drain closed the queue with the job still in it; the
+                # drain manifest keeps it for the next life
+                self._send_json(503, {
+                    "error": "draining", "job": job.id,
+                    "status": job.status,
+                    "detail": "server is shutting down; the job stays "
+                              "queued in the drain manifest"},
+                    headers={"Retry-After": "5"})
         else:
             self._send_json(202, {"job": job.id, "run_id": job.run_id,
                                   "status": job.status},

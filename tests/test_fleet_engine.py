@@ -349,3 +349,135 @@ class TestParallel:
                                    alpha=4.0, rng=0, max_iters=100)
         assert rep.seconds > 0
         assert len(rep.shard_seconds) == len(rep.shard_sizes)
+
+    def test_single_shard_reports_the_tier_that_ran(self, small_batch):
+        # one shard runs inline on the calling thread whatever was asked
+        for executor in ("thread", "process", "auto"):
+            rep = parallel_fleet_solve(small_batch, workers=1, num_starts=4,
+                                       rng=0, max_iters=50,
+                                       executor=executor)
+            assert rep.executor == "thread"
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_per_tensor_starts_refuse_more_than_one_shard(self, small_batch,
+                                                         executor):
+        starts = np.stack([shared_starts(4, small_batch.n, seed=t)
+                           for t in range(len(small_batch))])
+        with pytest.raises(ValueError, match="single-shard"):
+            parallel_fleet_solve(small_batch, workers=2, starts=starts,
+                                 executor=executor)
+        one = parallel_fleet_solve(small_batch, workers=1, starts=starts,
+                                   executor=executor, max_iters=50)
+        assert one.result.eigenvalues.shape == (len(small_batch), 4)
+
+
+_ARRAYS = ("eigenvalues", "eigenvectors", "converged", "iterations",
+           "failed", "shifts")
+
+
+def assert_rows_equal(a, b, rows_a=slice(None), rows_b=slice(None)):
+    """Bit-for-bit equality of the six result arrays (NaN matches NaN)."""
+    for name in _ARRAYS:
+        x, y = getattr(a, name)[rows_a], getattr(b, name)[rows_b]
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y, equal_nan=True), name
+
+
+#: (alpha, adaptive) modes of the per-tensor starts grid
+_MODES = [(2.0, False), (0.0, False), (-2.0, False), (0.0, True),
+          (0.0, "geap")]
+
+
+class TestPerTensorStarts:
+    """``(T, V, n)`` starts give every tensor the bits of a fleet of its
+    own with its own ``(V, n)`` starts — what lets several jobs' chunks
+    share one fleet."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha,adaptive", _MODES)
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (4, 4), (4, 6)])
+    def test_equal_to_solo_fleets(self, m, n, alpha, adaptive, dtype):
+        batch = random_symmetric_batch(3, m, n, rng=m * 10 + n)
+        starts = np.stack([shared_starts(6, n, seed=t) for t in range(3)])
+        opts = dict(alpha=alpha, adaptive=adaptive, dtype=dtype, tol=1e-9,
+                    max_iters=60 if adaptive == "geap" else 150)
+        merged = fleet_solve(batch, starts=starts, **opts)
+        for t in range(3):
+            solo = fleet_solve(batch.subset([t]), starts=starts[t], **opts)
+            assert_rows_equal(merged, solo, slice(t, t + 1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equal_to_solo_fleets_past_the_row_crossover(self, dtype):
+        # 4 x 256 = 1,024 lanes run the row program; each 256-lane solo
+        # fleet runs the gather order
+        batch = random_symmetric_batch(4, 4, 3, rng=7)
+        starts = np.stack([shared_starts(256, 3, seed=t) for t in range(4)])
+        opts = dict(alpha=2.0, tol=1e-8, max_iters=120, dtype=dtype)
+        merged = fleet_solve(batch, starts=starts, **opts)
+        for t in range(4):
+            solo = fleet_solve(batch.subset([t]), starts=starts[t], **opts)
+            assert_rows_equal(merged, solo, slice(t, t + 1))
+
+    def test_shape_validated(self, small_batch):
+        with pytest.raises(ValueError, match="starts must have shape"):
+            fleet_solve(small_batch,
+                        starts=np.ones((len(small_batch) + 1, 4, 4)))
+
+
+class TestStopMask:
+    """A ``stop`` returning a ``(T,)`` mask retires only the marked
+    tensors' live lanes; every other lane runs on untouched."""
+
+    @staticmethod
+    def _mask_from(poll, marked, T):
+        calls = [0]
+
+        def stop():
+            calls[0] += 1
+            mask = np.zeros(T, dtype=bool)
+            if calls[0] >= poll:
+                mask[marked] = True
+            return mask
+        return stop
+
+    def test_masked_tensors_stop_alone(self, small_batch):
+        starts = shared_starts(8, small_batch.n)
+        opts = dict(starts=starts, alpha=0.0, tol=1e-12, max_iters=200)
+        free = fleet_solve(small_batch, **opts)
+        cut = fleet_solve(small_batch,
+                          stop=self._mask_from(4, [1, 4], len(small_batch)),
+                          **opts)
+        assert cut.stopped and not free.stopped
+        assert cut.stopped_tensors.tolist() == [False, True, False, False,
+                                                True, False]
+        for t in (0, 2, 3, 5):
+            assert_rows_equal(cut, free, slice(t, t + 1), slice(t, t + 1))
+        # the marked tensors' rows are a whole-run stop at the same poll
+        for t in (1, 4):
+            polls = [0]
+
+            def whole(polls=polls):
+                polls[0] += 1
+                return polls[0] >= 4
+            solo = fleet_solve(small_batch.subset([t]), stop=whole, **opts)
+            assert solo.stopped
+            assert_rows_equal(cut, solo, slice(t, t + 1))
+
+    def test_mark_after_lanes_retired_is_not_a_stop(self, small_batch):
+        starts = shared_starts(8, small_batch.n)
+        opts = dict(starts=starts, alpha=0.0, tol=1e-12, max_iters=200)
+        free = fleet_solve(small_batch, **opts)
+        done_at = free.iterations.max(axis=1)
+        first = int(np.argmin(done_at))
+        assert done_at[first] + 1 < done_at.max()  # others still live
+        late = fleet_solve(
+            small_batch, stop=self._mask_from(int(done_at[first]) + 1,
+                                              [first], len(small_batch)),
+            **opts)
+        assert not late.stopped and late.stopped_tensors is None
+        assert_rows_equal(late, free)
+
+    def test_mask_shape_validated(self, small_batch):
+        with pytest.raises(ValueError, match="stop mask"):
+            fleet_solve(small_batch, num_starts=4, rng=0,
+                        stop=lambda: np.zeros(len(small_batch) + 1, bool))

@@ -21,7 +21,9 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -40,6 +42,7 @@ from repro.serve import (
     run_job,
     write_drain_manifest,
 )
+from repro.serve.batcher import ChunkBatcher
 from repro.serve.jobs import BadSpec
 from tests.conftest import own_segments
 
@@ -446,6 +449,26 @@ class TestRunJob:
         assert not job.degraded   # every chunk got the probe, none hid
         assert br.allow()         # the probe lease was handed back
 
+    def test_single_shard_process_job_gives_no_verdict(self, tmp_path):
+        # one worker runs each chunk inline: the process tier never ran,
+        # so the run must neither close a half-open breaker nor reset a
+        # closed one's failure streak
+        clock = FakeClock()
+        br = CircuitBreaker(threshold=1, reset_after=5.0, clock=clock)
+        br.record_failure()
+        clock.advance(5.0)
+        inline = {**SPEC, "executor": "process", "workers": 1}
+        job = _job(inline, "inline")
+        run_job(job, breaker=br, ckpt_dir=tmp_path)
+        assert job.status == "done" and not job.degraded
+        assert br.state == "half-open"
+        assert br.allow()  # the probe was handed back
+
+        streak = CircuitBreaker(threshold=3, clock=FakeClock())
+        streak.record_failure()
+        run_job(_job(inline, "inline2"), breaker=streak, ckpt_dir=tmp_path)
+        assert streak.snapshot()["consecutive_failures"] == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_faults_reach_later_chunks(self, tmp_path):
         # fault keys live in a job-global shard-id space spanning chunk
@@ -608,6 +631,258 @@ def _assert_same_result(a, b):
                                       err_msg=key)
 
 
+def _spec(tensor_seed, start_seed, **extra):
+    return {**SPEC, "tensors": {**SPEC["tensors"], "seed": tensor_seed},
+            "seed": start_seed, **extra}
+
+
+def _alone(spec, job_id, tmp_path):
+    """``spec`` run by ``run_job`` alone (no batcher) — the reference."""
+    ref_dir = tmp_path / "alone"
+    ref_dir.mkdir(exist_ok=True)
+    job = _job(spec, job_id)
+    run_job(job, ckpt_dir=ref_dir)
+    assert job.status == "done"
+    return job
+
+
+def _run_merged(tmp_path, specs, monkeypatch, on_call=None):
+    """Run the jobs of ``specs`` on one thread each through one
+    :class:`ChunkBatcher`, with their first chunks meeting in one round.
+
+    A one-chunk *holder* job solves first, and its fleet call waits (on
+    the batcher's own condition variable) until every job has joined, so
+    the holder's round ends with all of them waiting.  ``on_call(i,
+    kwargs, jobs)`` may adjust the keywords of the ``i``-th later fleet
+    call.
+    Returns the finished jobs and the tensor count of each later call.
+    """
+    import repro.parallel.fleet as pfleet
+
+    batcher = ChunkBatcher()
+    jobs = [_job(spec, f"m{i}") for i, spec in enumerate(specs)]
+    real, sizes, entered = pfleet.parallel_fleet_solve, [], threading.Event()
+
+    def fleet(tensors, **kwargs):
+        if not entered.is_set():  # the holder's call
+            entered.set()
+            with batcher._cond:
+                assert batcher._cond.wait_for(
+                    lambda: set(jobs) <= batcher._members, timeout=60)
+            return real(tensors, **kwargs)
+        sizes.append(len(tensors))
+        if on_call is not None:
+            on_call(len(sizes), kwargs, jobs)
+        return real(tensors, **kwargs)
+
+    monkeypatch.setattr(pfleet, "parallel_fleet_solve", fleet)
+    holder = _job(_spec(9, 9, tensors={**SPEC["tensors"], "count": 2}),
+                  "holder")
+
+    def run(job):
+        return threading.Thread(target=run_job, args=(job,), kwargs=dict(
+            ckpt_dir=tmp_path, batcher=batcher))
+
+    threads = [run(holder)]
+    threads[0].start()
+    assert entered.wait(timeout=60)
+    threads += [run(job) for job in jobs]
+    for t in threads[1:]:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert holder.status == "done"
+    return jobs, sizes
+
+
+class TestChunkBatcher:
+    """Concurrent jobs' chunks merged into one fleet per round: each job's
+    rows stay bit-identical to ``run_job`` alone."""
+
+    def test_merged_jobs_equal_run_job_alone(self, tmp_path, monkeypatch):
+        specs = [_spec(5, 1), _spec(6, 2), _spec(7, 3, method="geap"),
+                 _spec(8, 4, method="geap")]
+        refs = [_alone(spec, f"r{i}", tmp_path)
+                for i, spec in enumerate(specs)]
+        jobs, sizes = _run_merged(tmp_path, specs, monkeypatch)
+        # two rounds (chunks of two of four tensors), one fleet per method
+        assert sizes == [4, 4, 4, 4]
+        for job, ref in zip(jobs, refs):
+            assert job.status == "done"
+            _assert_same_result(job.result, ref.result)
+
+    def test_lone_chunk_makes_the_run_job_call(self, tmp_path, monkeypatch):
+        import repro.parallel.fleet as pfleet
+
+        real, calls = pfleet.parallel_fleet_solve, []
+
+        def spy(tensors, **kwargs):
+            calls.append((tensors.values.tolist(),
+                          {k: (v.tolist() if isinstance(v, np.ndarray)
+                               else v.__name__ if callable(v) else v)
+                           for k, v in kwargs.items()}))
+            return real(tensors, **kwargs)
+
+        monkeypatch.setattr(pfleet, "parallel_fleet_solve", spy)
+        run_job(_job(SPEC, "plain"), ckpt_dir=tmp_path)
+        plain, calls[:] = list(calls), []
+        run_job(_job(SPEC, "lone"), ckpt_dir=tmp_path,
+                batcher=ChunkBatcher())
+        assert calls == plain and len(plain) == 2
+
+    def test_deadline_in_merged_round_spares_the_other_job(self, tmp_path,
+                                                           monkeypatch):
+        import repro.serve.batcher as batcher_mod
+
+        late, other = _spec(5, 1, deadline_seconds=3600), _spec(6, 2)
+        ref_late = _alone(late, "rl", tmp_path)
+        ref_other = _alone(other, "ro", tmp_path)
+        # the batcher's clock passes the deadline at the third sweep poll
+        # of the first merged round, mid-solve
+        polls = [0]
+
+        def now():
+            polls[0] += 1
+            return time.time() + (1e6 if polls[0] >= 3 else 0.0)
+
+        monkeypatch.setattr(batcher_mod, "time",
+                            types.SimpleNamespace(time=now))
+        (cut, kept), sizes = _run_merged(tmp_path, [late, other],
+                                         monkeypatch)
+        assert sizes == [4, 2]  # the other job's second chunk runs alone
+        _assert_same_result(kept.result, ref_other.result)
+        assert cut.status == "deadline"
+        # the cut chunk is kept: its lanes stopped after two sweeps
+        assert cut.result["tensors_solved"] == [0, 1]
+        assert np.max(cut.result["iterations"][:2]) == 2
+        assert cut.result["iterations"] != ref_late.result["iterations"]
+
+    def test_deadline_after_lanes_retired_ends_done(self, tmp_path,
+                                                    monkeypatch):
+        import repro.serve.batcher as batcher_mod
+
+        # one chunk each; with this shift tensors 5 converge by sweep 46,
+        # tensors 6 by sweep 133
+        one_chunk = {**SPEC["tensors"], "count": 2}
+        specs = [_spec(5, 1, tensors={**one_chunk, "seed": seed},
+                       alpha=5.0, max_iters=400) for seed in (5, 6)]
+        refs = [_alone(spec, f"r{i}", tmp_path)
+                for i, spec in enumerate(specs)]
+        done_at = [int(np.max(r.result["iterations"])) for r in refs]
+        early = int(np.argmin(done_at))
+        assert done_at[early] + 1 < max(done_at)  # the other still runs
+        specs[early] = {**specs[early], "deadline_seconds": 3600}
+        polls = [0]
+
+        def now():
+            # past the deadline from the first poll after its lanes retired
+            polls[0] += 1
+            return time.time() + (1e6 if polls[0] > done_at[early] else 0.0)
+
+        monkeypatch.setattr(batcher_mod, "time",
+                            types.SimpleNamespace(time=now))
+        jobs, sizes = _run_merged(tmp_path, specs, monkeypatch)
+        assert sizes == [4]
+        assert polls[0] > done_at[early]  # the deadline did pass
+        for job, ref in zip(jobs, refs):
+            assert job.status == "done"
+            _assert_same_result(job.result, ref.result)
+
+    def test_drain_in_merged_round_interrupts_both_then_resumes(
+            self, tmp_path, monkeypatch):
+        specs = [_spec(5, 1), _spec(6, 2)]
+        refs = [_alone(spec, f"r{i}", tmp_path)
+                for i, spec in enumerate(specs)]
+
+        def drain_mid_second_round(i, kwargs, jobs):
+            if i != 2:
+                return
+            inner, polls = kwargs["stop"], [0]
+
+            def stop():
+                polls[0] += 1
+                if polls[0] == 3:  # the drain sets every job's stop event
+                    for job in jobs:
+                        job.stop_event.set()
+                return inner()
+            kwargs["stop"] = stop
+
+        ran, sizes = _run_merged(tmp_path, specs, monkeypatch,
+                                 on_call=drain_mid_second_round)
+        assert sizes == [4, 4]
+        for job in ran:
+            assert job.status == "interrupted" and job.result is None
+            state = json.loads(pathlib.Path(job.checkpoint).read_text())
+            assert sorted(state["starts"]) == ["0", "1"]  # chunk one only
+        monkeypatch.undo()
+        for job, spec, ref in zip(ran, specs, refs):
+            resumed = _job(spec, job.id)
+            run_job(resumed, ckpt_dir=tmp_path, batcher=ChunkBatcher())
+            assert resumed.status == "done"
+            _assert_same_result(resumed.result, ref.result)
+
+    def test_stress_more_jobs_than_cores(self, tmp_path):
+        # six runners share one batcher, with jobs of one to four chunks
+        # (they leave at different rounds) and a short switch interval;
+        # a lost join, leave or outcome wedges a runner or changes rows
+        specs = [_spec(10 + i, i, tensors={**SPEC["tensors"], "seed": 10 + i,
+                                           "count": 1 + i % 4}, chunk=1)
+                 for i in range(6)]
+        refs = [_alone(spec, f"r{i}", tmp_path)
+                for i, spec in enumerate(specs)]
+        batcher, jobs = ChunkBatcher(), [_job(spec, f"s{i}")
+                                         for i, spec in enumerate(specs)]
+        threads = [threading.Thread(target=run_job, args=(job,), kwargs=dict(
+            ckpt_dir=tmp_path, batcher=batcher)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for job, ref in zip(jobs, refs):
+            assert job.status == "done"
+            _assert_same_result(job.result, ref.result)
+        assert not batcher._members and not batcher._ready
+
+    @pytest.mark.parametrize("extra", [
+        {"method": "qrst"}, {"executor": "process"}, {"executor": "auto"},
+        {"workers": 2}, {"faults": {"0": "crash"}}])
+    def test_ineligible_jobs_never_enter_the_batcher(self, tmp_path, extra):
+        batcher = ChunkBatcher()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ineligible chunk reached the batcher")
+
+        batcher.solve = refuse
+        job = _job({**SPEC, **extra})
+        run_job(job, ckpt_dir=tmp_path, batcher=batcher)
+        assert job.status == "done"
+
+    def test_merged_solve_that_raises_fails_no_job(self, tmp_path,
+                                                   monkeypatch):
+        specs = [_spec(5, 1), _spec(6, 2)]
+        refs = [_alone(spec, f"r{i}", tmp_path)
+                for i, spec in enumerate(specs)]
+
+        def fail_merged(i, kwargs, jobs):
+            if np.ndim(kwargs["starts"]) == 3:
+                kwargs["starts"] = "not starts"  # the merged call raises
+
+        jobs, sizes = _run_merged(tmp_path, specs, monkeypatch,
+                                  on_call=fail_merged)
+        # each round: the failed merged call, then each job alone
+        assert sizes == [4, 2, 2, 4, 2, 2]
+        for job, ref in zip(jobs, refs):
+            assert job.status == "done"
+            _assert_same_result(job.result, ref.result)
+
+
 class TestBenchmarkHooks:
     """The per-layer traced benchmark patches names in ``repro.serve.jobs``
     and ``repro.parallel.fleet`` (``perfbench/layers.py``); a job run under
@@ -623,6 +898,19 @@ class TestBenchmarkHooks:
         assert job.status == "done"
         assert tracer.n["ckpt_writes"] == 2
         assert len(tracer.reports) == 2
+
+    def test_layer_tracer_sees_merged_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import layers
+
+        with layers.LayerTracer() as tracer:
+            jobs, sizes = _run_merged(tmp_path, [_spec(5, 1), _spec(6, 2)],
+                                      monkeypatch)
+        assert [job.status for job in jobs] == ["done", "done"]
+        assert sizes == [4, 4]
+        # the holder's chunk, then two merged rounds
+        assert tracer.n["ckpt_writes"] == 1 + 4
+        assert len(tracer.reports) == 1 + 2
 
 
 # ----------------------------------------------------------------------
@@ -731,18 +1019,13 @@ class TestServerHTTP:
         assert doc["run_id"]
 
     def test_async_solve_then_poll(self, server):
-        _, base = server
+        srv, base = server
         status, headers, doc = _http("POST", base + "/solve", SPEC)
         assert status == 202
         assert headers["Location"] == f"/jobs/{doc['job']}"
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            status, _, jdoc = _http("GET", base + headers["Location"])
-            assert status == 200
-            if jdoc["status"] in ("done", "failed"):
-                break
-            time.sleep(0.05)
-        assert jdoc["status"] == "done"
+        assert srv.get_job(doc["job"]).done_event.wait(timeout=30)
+        status, _, jdoc = _http("GET", base + headers["Location"])
+        assert status == 200 and jdoc["status"] == "done"
 
     def test_unknown_job_404(self, server):
         _, base = server
@@ -815,7 +1098,7 @@ class TestOverloadPath:
             # A occupies the single runner...
             status, _, a = _http("POST", base + "/solve", SLOW_SPEC)
             assert status == 202
-            _wait_for_status(base, a["job"], "running")
+            assert srv.get_job(a["job"]).start_event.wait(timeout=30)
             # ...B fills the queue (limit 1)...
             status, _, b = _http("POST", base + "/solve", SPEC)
             assert status == 202
@@ -846,6 +1129,46 @@ class TestOverloadPath:
             entries = read_drain_manifest(tmp_path / "ckpt")
             states = {e["job"]: e["state"] for e in entries}
             assert states == {a["job"]: "interrupted", b["job"]: "queued"}
+        finally:
+            srv.drain()
+
+
+class TestDrainAnswersWaitingClients:
+    """A ``?wait=1`` client of a job the drain leaves queued gets a 503
+    at once instead of hanging until the process exits."""
+
+    def test_queued_wait_client_gets_503(self, tmp_path):
+        srv = EigenServer(ServeConfig(port=0, runners=1, queue_limit=4,
+                                      checkpoint_dir=tmp_path / "ckpt"))
+        host, port = srv.start()
+        base = f"http://{host}:{port}"
+        try:
+            busy = srv.submit(dict(SLOW_SPEC))
+            assert busy.start_event.wait(timeout=30)
+            admitted, submit = threading.Event(), srv.submit
+
+            def observed(doc):
+                job = submit(doc)
+                admitted.set()
+                return job
+
+            srv.submit = observed
+            reply = []
+            client = threading.Thread(target=lambda: reply.append(
+                _http("POST", base + "/solve?wait=1", SPEC, timeout=60)))
+            client.start()
+            assert admitted.wait(timeout=30)
+            srv.drain()
+            client.join(timeout=30)
+            assert not client.is_alive() and reply
+            status, headers, doc = reply[0]
+            assert status == 503
+            assert doc["error"] == "draining" and doc["status"] == "queued"
+            assert int(headers["Retry-After"]) >= 1
+            assert busy.status == "interrupted"
+            states = {e["job"]: e["state"]
+                      for e in read_drain_manifest(tmp_path / "ckpt")}
+            assert states == {busy.id: "interrupted", doc["job"]: "queued"}
         finally:
             srv.drain()
 
