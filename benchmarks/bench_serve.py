@@ -11,9 +11,17 @@ O(queue) scan on the hot path:
   running the identical job directly must cost well under a second of
   extra wall time (it is JSON + one queue handoff, not a solve);
 * **drain** — with no work in flight, SIGTERM-equivalent drain must
-  complete promptly (the runner threads park on a 0.2 s poll).
+  return within a few of the HTTP listener's 0.05 s shutdown polls
+  (``repro.serve.server.POLL_INTERVAL``; the runner threads wake when
+  the queue closes).  The budget sits well under ``serve_forever``'s
+  default 0.5 s poll, so a listener started without the short poll
+  fails here.
 
-One more row is recorded without a budget: two concurrent
+Two more rows are recorded without a budget.  One is a ``repro serve
+--port 0`` subprocess's time from launch to its ``ready`` line and from
+SIGTERM to exit (median of three restarts): a fresh interpreter's
+import, start-up and drain.  Each restart must still exit 0, since the
+ready line follows the SIGTERM handler.  The other is two concurrent
 ``perfbench`` ``serve_loaded``-shaped jobs through a ``runners=2``
 server, against the same two jobs run back to back with ``run_job``,
 and the tensor count of every fleet run the server made for their
@@ -24,6 +32,12 @@ fleet's ratio floor does, so the row only records.
 """
 
 import json
+import os
+import pathlib
+import signal
+import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -45,7 +59,9 @@ SPEC = {"tensors": {"kind": "random", "count": 4, "m": 3, "n": 4, "seed": 5},
 
 ADMISSION_BUDGET = 200e-6   # seconds per admit/reject pair, amortized
 HTTP_OVERHEAD_BUDGET = 0.75  # seconds of non-solve wall time per request
-DRAIN_BUDGET = 3.0          # seconds for an idle drain
+DRAIN_BUDGET = 0.25         # seconds for an idle drain
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _bench_admission(reps: int = 2_000) -> float:
@@ -160,11 +176,40 @@ def _bench_idle_drain(tmp_dir) -> float:
     return time.perf_counter() - t0
 
 
+def _bench_restart(tmp_dir, runs: int = 3) -> tuple[float, float]:
+    """Median ``(launch_to_ready_s, sigterm_to_exit_s)`` of ``repro serve``
+    subprocesses with nothing to do."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ready, exit_ = [], []
+    for i in range(runs):
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--checkpoint-dir", str(tmp_dir / str(i))],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env)
+        try:
+            line = proc.stdout.readline()
+            ready.append(time.perf_counter() - t0)
+            assert json.loads(line)["event"] == "ready", line
+            t0 = time.perf_counter()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            exit_.append(time.perf_counter() - t0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+    return statistics.median(ready), statistics.median(exit_)
+
+
 def test_serve_control_plane_budgets(tmp_path, monkeypatch):
     admit = _bench_admission()
     direct, served = _bench_http_overhead(tmp_path / "a")
     overhead = max(served - direct, 0.0)
     drain = _bench_idle_drain(tmp_path / "b")
+    ready, sigterm_exit = _bench_restart(tmp_path / "d")
     back_to_back, concurrent, sizes = _bench_merging(tmp_path / "c",
                                                      monkeypatch)
 
@@ -175,6 +220,10 @@ def test_serve_control_plane_budgets(tmp_path, monkeypatch):
          f"{HTTP_OVERHEAD_BUDGET * 1e3:8.1f} ms"],
         ["idle drain", f"{drain * 1e3:8.1f} ms",
          f"{DRAIN_BUDGET * 1e3:8.1f} ms"],
+        ["repro serve launch to ready", f"{ready * 1e3:8.1f} ms",
+         "record only"],
+        ["repro serve SIGTERM to exit", f"{sigterm_exit * 1e3:8.1f} ms",
+         "record only"],
         ["2 jobs back to back, run_job", f"{back_to_back * 1e3:8.1f} ms",
          "record only"],
         ["2 jobs concurrently, served", f"{concurrent * 1e3:8.1f} ms",

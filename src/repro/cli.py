@@ -575,10 +575,11 @@ def _cmd_serve(args) -> int:
         print(f"error: cannot start server: {exc}", file=sys.stderr)
         return 2
     # machine-readable readiness line: supervisors (and the soak test)
-    # parse the bound port from it, which makes --port 0 usable
-    print(_json.dumps({"event": "ready", "host": host, "port": port,
-                       "checkpoint_dir": str(server.ckpt_dir)}), flush=True)
-    status = server.serve_forever()
+    # parse the bound port from it, which makes --port 0 usable; printed
+    # once the signal handlers are in, so a SIGTERM right after it drains
+    ready = _json.dumps({"event": "ready", "host": host, "port": port,
+                         "checkpoint_dir": str(server.ckpt_dir)})
+    status = server.serve_forever(on_ready=lambda: print(ready, flush=True))
     print(_json.dumps({"event": "drained", "status": status}), flush=True)
     return status
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from repro.mri.fit import design_matrix
 from repro.symtensor.storage import SymmetricTensor
@@ -75,6 +74,10 @@ def real_sph_harm_basis(degree: int, directions: np.ndarray) -> np.ndarray:
     ``sqrt(2) (-1)^m Re(Y_l^m)``; ``m < 0`` is ``sqrt(2) (-1)^m Im(Y_l^|m|)``
     — orthonormal on the sphere.
     """
+    # imported here, not at module level, so that ``import repro`` (every
+    # CLI command, server and worker process) does not load scipy
+    from scipy.special import sph_harm_y
+
     theta, phi = _to_angles(directions)
     cols = []
     for l, m in even_sh_index_list(degree):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["angular_error_deg", "match_fibers", "DetectionReport", "evaluate_detection"]
 
@@ -30,6 +29,9 @@ def match_fibers(
     ``max_error_deg``; unmatched estimates are false positives, unmatched
     truths are misses.
     """
+    # imported here so that ``import repro`` does not load scipy
+    from scipy.optimize import linear_sum_assignment
+
     estimated = np.atleast_2d(np.asarray(estimated, dtype=np.float64))
     truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
     ne, nt = estimated.shape[0], truth.shape[0]

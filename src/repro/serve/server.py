@@ -62,6 +62,11 @@ _log = get_logger("serve.server")
 #: hostile or a client bug, rejected before parsing.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds between the HTTP listener's checks for ``shutdown()``: a drain
+#: waits up to one poll for the listener to stop, so this bounds an idle
+#: drain (``serve_forever``'s default is 0.5 s).
+POLL_INTERVAL = 0.05
+
 
 @dataclass
 class ServeConfig:
@@ -129,8 +134,9 @@ class EigenServer:
         self._httpd.daemon_threads = True
         self._httpd.app = self
         self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve-http",
-            daemon=True)
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL},
+            name="repro-serve-http", daemon=True)
         self._http_thread.start()
         host, port = self._httpd.server_address[:2]
         _log.info("serving", fields={"host": host, "port": port,
@@ -138,18 +144,22 @@ class EigenServer:
                                      "runners": self.config.runners})
         return host, port
 
-    def serve_forever(self) -> int:
+    def serve_forever(self, on_ready=None) -> int:
         """Block until SIGTERM/SIGINT, then drain; returns the exit code.
 
         The handlers only set an event — the drain itself (locks, file
         writes, thread joins) runs here on the main thread, where it is
-        signal-safe.
+        signal-safe.  ``on_ready()`` runs once the handlers are in place,
+        so a signal sent as soon as it has announced the server drains
+        it instead of killing it.
         """
         previous = {}
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous[signum] = signal.signal(
                 signum, lambda *_: self._shutdown.set())
         try:
+            if on_ready is not None:
+                on_ready()
             # timed: a signal the kernel hands to a non-main thread only
             # flags the main thread, which an untimed wait never rechecks
             while not self._shutdown.wait(0.5):
@@ -249,7 +259,8 @@ class EigenServer:
     def submit(self, doc: dict) -> Job:
         """Validate + admit one solve request (raises :class:`BadSpec` or
         :class:`AdmissionError`)."""
-        if "method" not in doc:
+        # a non-object body falls through to from_doc's BadSpec
+        if isinstance(doc, dict) and "method" not in doc:
             doc = {**doc, "method": self.config.default_method}
         spec = JobSpec.from_doc(doc)
         if spec.deadline_seconds is None:
@@ -397,14 +408,21 @@ class _Handler(BaseHTTPRequestHandler):
                                   "detail": "server is shutting down"},
                             headers={"Retry-After": "5"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = 0
         if length <= 0 or length > MAX_BODY_BYTES:
+            # the body stays unread, so the connection cannot carry
+            # another request
             self._send_json(400, {"error": "bad_request",
-                                  "detail": "missing or oversized body"})
+                                  "detail": "missing, malformed or "
+                                            "oversized body"},
+                            headers={"Connection": "close"})
             return
         try:
             doc = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or bad UTF-8
             self._send_json(400, {"error": "bad_request",
                                   "detail": f"invalid JSON: {exc}"})
             return

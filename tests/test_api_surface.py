@@ -5,6 +5,7 @@ the facade and solver entry points, and the field lists of the public
 result/request dataclasses.  Any drift — a renamed keyword, a dropped
 export, a reordered positional parameter — fails here *by name*, so API
 changes are always deliberate and reviewed next to the snapshot diff.
+It also pins the cold import set: a fresh ``import repro`` loads no scipy.
 
 To bless an intentional change, regenerate the snapshot:
 
@@ -16,6 +17,8 @@ import inspect
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -140,3 +143,17 @@ def test_result_protocol_members_exist():
         fields = {f.name for f in dataclasses.fields(cls)}
         assert "converged" in fields
         assert "telemetry" in fields
+
+
+def test_cold_import_loads_no_scipy():
+    """A fresh ``import repro`` (and the serve, io and CLI entry points)
+    loads numpy and the solve path only: scipy serves the MRI application
+    alone and loads on its first SH-basis or fiber-matching call."""
+    script = ("import sys, repro, repro.serve, repro.io, repro.cli; "
+              "print(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(SNAPSHOT_PATH.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout

@@ -15,6 +15,7 @@ Covers every robustness promise the service makes:
   restart must finish the job bit-for-bit with no leaked shm segments.
 """
 
+import http.client
 import json
 import os
 import pathlib
@@ -25,6 +26,7 @@ import threading
 import time
 import types
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -993,6 +995,21 @@ def _http(method, url, doc=None, timeout=30):
         return err.code, dict(err.headers), parsed
 
 
+def _post_raw(url, body: bytes, headers=None):
+    """POST raw bytes with the given headers (``urllib`` would fix up a bad
+    Content-Length); returns (status, parsed body)."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+    try:
+        conn.request("POST", parts.path, body=body,
+                     headers={"Content-Type": "application/json",
+                              **(headers or {})})
+        resp = conn.getresponse()
+        return resp.status, json.load(resp)
+    finally:
+        conn.close()
+
+
 @pytest.fixture
 def server(tmp_path):
     srv = EigenServer(ServeConfig(port=0, runners=1, queue_limit=8,
@@ -1048,6 +1065,14 @@ class TestServerHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
+        # JSON that is not an object, bytes that are not UTF-8 and a
+        # non-numeric Content-Length: answered, not a dropped connection
+        for body, headers in ((b"[]", None), (b"5", None), (b'"x"', None),
+                              (b"null", None), (b"\xff\xfe\x80", None),
+                              (b"{}", {"Content-Length": "abc"})):
+            status, doc = _post_raw(base + "/solve", body, headers)
+            assert status == 400 and doc["error"] == "bad_request", body
+        assert _http("GET", base + "/healthz")[0] == 200
 
     def test_metrics_exposition(self, server):
         _, base = server
@@ -1058,6 +1083,23 @@ class TestServerHTTP:
             text = resp.read().decode()
         assert "repro_serve_requests_total" in text
         assert "repro_serve_jobs_total" in text
+
+    def test_ready_callback_runs_under_signal_handlers(self, server):
+        """``serve_forever`` calls ``on_ready`` (where the CLI prints its
+        ready line) only once SIGTERM drains instead of kills, so a
+        supervisor may signal as soon as it reads the line."""
+        srv, _ = server
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+
+        def on_ready():
+            seen.append(signal.getsignal(signal.SIGTERM))
+            srv.shutdown()
+
+        assert srv.serve_forever(on_ready=on_ready) == 0
+        assert seen and seen[0] not in (before, signal.SIG_DFL)
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert srv.draining
 
     def test_submit_after_drain_is_draining_error(self, server):
         srv, _ = server
