@@ -45,8 +45,8 @@ bench:  ## paper reproduction benchmarks (slow)
 bench-overhead:  ## assert the <5% disabled-instrumentation budget
 	python -m pytest -q benchmarks/bench_instrument_overhead.py
 
-kernel-bench:  ## A x^{m-1} cost per call of both evaluation orders at 1-65,536 lanes -> benchmarks/results/kernel_lanes.txt (records only)
-	python -m pytest -q benchmarks/bench_kernel_lanes.py
+kernel-bench:  ## A x^{m-1} cost per call of both evaluation orders at 1-65,536 lanes, and what get_plan's "auto" picks against each batched variant -> benchmarks/results/{kernel_lanes,plan_race}.txt (records only)
+	python -m pytest -q benchmarks/bench_kernel_lanes.py benchmarks/bench_plan_race.py
 
 events-check:  ## event stream: <5% disabled budget + every line schema-valid
 	python -m pytest -q benchmarks/bench_events_overhead.py

@@ -371,7 +371,7 @@ def _cmd_fleet_solve(args) -> int:
             method=args.method,
             workers=args.workers,
             variant=args.variant,
-            codegen_backend=args.backend,
+            backend=args.backend,
             compact_every=args.compact_every,
             **options,
         )
@@ -570,16 +570,14 @@ def _cmd_serve(args) -> int:
     )
     try:
         server = EigenServer(config)
-        host, port = server.start()
+        # machine-readable readiness line: supervisors (and the soak test)
+        # parse the bound port from it, which makes --port 0 usable
+        status = server.serve_forever(on_ready=lambda host, port: print(
+            _json.dumps({"event": "ready", "host": host, "port": port,
+                         "checkpoint_dir": str(server.ckpt_dir)}), flush=True))
     except (OSError, ValueError, AdmissionError) as exc:
-        print(f"error: cannot start server: {exc}", file=sys.stderr)
+        print(f"error: server failed: {exc}", file=sys.stderr)
         return 2
-    # machine-readable readiness line: supervisors (and the soak test)
-    # parse the bound port from it, which makes --port 0 usable; printed
-    # once the signal handlers are in, so a SIGTERM right after it drains
-    ready = _json.dumps({"event": "ready", "host": host, "port": port,
-                         "checkpoint_dir": str(server.ckpt_dir)})
-    status = server.serve_forever(on_ready=lambda: print(ready, flush=True))
     print(_json.dumps({"event": "drained", "status": status}), flush=True)
     return status
 
@@ -739,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "unrolled_cse, blocked, or auto)")
     p.add_argument("--backend", default=None,
                    help="codegen backend for the kernel plan (numpy, numba, "
-                   "or auto to race them; default numpy)")
+                   "or auto for the shape's race winner; default numpy)")
     p.add_argument("--workers", type=int, default=1,
                    help="shard the tensor axis over this many workers")
     p.add_argument("--executor", choices=("thread", "process", "auto"),

@@ -42,8 +42,9 @@ class SolveConfig:
     num_starts : starting vectors per tensor (multistart drivers).
     scheme : starting-vector scheme (``"random"`` / ``"fibonacci"``).
     kernels : per-tensor kernel variant name or pair (single-start drivers).
-    backend : batched kernel variant name (multistart drivers).
-    codegen_backend : codegen backend compiling the batched kernels
+    variant : batched kernel variant of the fleet drivers (see
+        :func:`repro.kernels.plan.get_plan`; ``"auto"`` races them).
+    backend : codegen backend compiling the batched kernels
         (``"numpy"`` / ``"numba"`` / ``"auto"``; see
         :mod:`repro.kernels.codegen`).
     dtype : compute precision of the batched drivers.
@@ -83,8 +84,8 @@ class SolveConfig:
     num_starts: int | None = None
     scheme: str | None = None
     kernels: Any = None
+    variant: str | None = None
     backend: str | None = None
-    codegen_backend: str | None = None
     dtype: Any = None
     rng: Any = None
     guards: Any = None

@@ -209,12 +209,12 @@ def fleet_solve(
         passed; per-sweep telemetry (default: on when a recorder is).
     variant : batched kernel variant for the :class:`KernelPlan`
         (``"vectorized"``, ``"unrolled"``, ``"unrolled_cse"``,
-        ``"blocked"``, their ``batched*`` aliases, or ``"auto"``).
-        Resolved through the ``backend`` config field when unset.
+        ``"blocked"``, or ``"auto"`` for the shape's race winner).
+        Resolved through the ``variant`` config field when unset.
     backend : codegen backend compiling the plan's kernels (``"numpy"``,
-        ``"numba"``, or ``"auto"`` to race them per shape; see
-        :mod:`repro.kernels.codegen`).  Resolved through the
-        ``codegen_backend`` config field when unset.  Degrades gracefully:
+        ``"numba"``, or ``"auto"`` for the shape's race winner; see
+        :mod:`repro.kernels.codegen`).  Resolved through the ``backend``
+        config field when unset.  Degrades gracefully:
         requesting ``"numba"`` without numba installed runs the numpy
         path and records it on ``plan.effective_backend``.
     adaptive : ``True`` gives each lane its own shift and escalates it
@@ -287,8 +287,8 @@ def fleet_solve(
     tol = resolve_option("tol", tol, config, 1e-10)
     max_iters = resolve_option("max_iters", max_iters, config, 500)
     scheme = resolve_option("scheme", scheme, config, "random")
-    variant = resolve_option("backend", variant, config, "vectorized")
-    backend = resolve_option("codegen_backend", backend, config, "numpy")
+    variant = resolve_option("variant", variant, config, "vectorized")
+    backend = resolve_option("backend", backend, config, "numpy")
     dtype = resolve_option("dtype", dtype, config, np.float64)
     rng = resolve_option("rng", rng, config, None)
     guard_cfg = resolve_guards(resolve_option("guards", guards, config, None))

@@ -154,8 +154,8 @@ def _fold_deadline(opts: dict, config: SolveConfig | None) -> dict:
 # Options only the fleet drivers understand; uniform callers
 # (the CLI passes its full flag set regardless of method) may hand them
 # to geap/qrst, where they have no meaning and are dropped.
-_FLEET_ONLY_OPTS = ("variant", "backend", "codegen_backend",
-                    "compact_every", "scheme", "executor", "events")
+_FLEET_ONLY_OPTS = ("variant", "backend", "compact_every", "scheme",
+                    "executor", "events")
 
 
 def _strip_fleet_opts(opts: dict) -> dict:
@@ -209,12 +209,11 @@ def solve(
         to a single-worker run).
     **options : forwarded verbatim to the routed solver (e.g.
         ``variant=``/``backend=``, ``telemetry=``, ``guards=``,
-        ``scheme=``, ``dtype=``, ``compact_every=``).  For batch
-        requests ``backend=`` accepts either a codegen backend name
-        (``"numpy"`` / ``"numba"`` / ``"cuda-src"``, selecting the
-        compiler — see :mod:`repro.kernels.codegen`) or, for backward
-        compatibility, a batched variant name; ``codegen_backend=``
-        names the compiler unambiguously.
+        ``scheme=``, ``dtype=``, ``compact_every=``).  On the fleet
+        paths ``variant=`` names the batched kernel variant and
+        ``backend=`` the codegen backend compiling it (see
+        :func:`repro.kernels.plan.get_plan`; ``"auto"`` on either takes
+        the shape's race winner).
 
     Routing
     -------
@@ -349,26 +348,6 @@ def solve(
                     "drop starts= or run per-start geap(mode='min') calls"
                 )
             adaptive = "geap"
-        # ``backend=`` is overloaded by history: codegen backend names
-        # ("numpy"/"numba"/"cuda-src") select the compiler; anything else
-        # is the batched-variant spelling of variant= ("auto" included — it
-        # predates the codegen axis and still means the variant race;
-        # spell codegen racing as codegen_backend="auto" or a direct
-        # fleet_solve(backend="auto") call).  Codegen's emitter lookup
-        # decides, so its alias table is the only one.
-        if "backend" in fleet_opts:
-            from repro.kernels.codegen import get_emitter
-            from repro.kernels.errors import UnknownBackendError
-
-            try:
-                get_emitter(fleet_opts["backend"])
-            except UnknownBackendError:
-                if "variant" not in fleet_opts:
-                    fleet_opts["variant"] = fleet_opts.pop("backend")
-                else:
-                    fleet_opts.pop("backend")
-        if "codegen_backend" in fleet_opts:
-            fleet_opts["backend"] = fleet_opts.pop("codegen_backend")
         if solver.startswith("parallel_fleet_solve"):
             from repro.parallel.fleet import parallel_fleet_solve
 

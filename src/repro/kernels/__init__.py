@@ -24,13 +24,7 @@ from repro.kernels.compressed import (
     symmetric_flops_vector,
     ttsv_compressed,
 )
-from repro.kernels.autotune import (
-    BackendTuneReport,
-    TuneReport,
-    auto_kernels,
-    autotune,
-    autotune_backend,
-)
+from repro.kernels.autotune import TuneReport, auto_kernels, autotune
 from repro.kernels.codegen import (
     CODEGEN_VERSION,
     EmittedKernel,
@@ -77,11 +71,9 @@ __all__ = [
     "symmetric_flops_scalar",
     "symmetric_flops_vector",
     "ttsv_compressed",
-    "BackendTuneReport",
     "TuneReport",
     "auto_kernels",
     "autotune",
-    "autotune_backend",
     "CODEGEN_VERSION",
     "EmittedKernel",
     "Emitter",

@@ -10,24 +10,25 @@ performs by hand, and of Section VI's open question about choosing block
 layouts for the best behavior.
 
 ``get_kernels("auto", m, n)`` (see :mod:`repro.kernels.dispatch`) routes
-through :func:`autotune`.
+through :func:`autotune`; ``get_plan(..., "auto")`` through the fleet-scale
+:func:`plan_race` of the batched suites.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 __all__ = [
-    "BackendTuneReport",
     "TuneReport",
     "autotune",
-    "autotune_backend",
     "auto_kernels",
+    "plan_race",
 ]
 
 # variants eligible for selection (the spec-faithful loops are excluded on
@@ -92,100 +93,120 @@ def auto_kernels(m: int, n: int):
     return get_kernels(autotune(m, n).best, m, n)
 
 
-# -- backend racing (the codegen axis) -------------------------------------
+# -- the plan race: batched variant x codegen backend, per shape -----------
 
-BACKEND_TUNE_SCHEMA = "repro-backend-tune/1"
-
-
-@dataclass(frozen=True)
-class BackendTuneReport:
-    """Timing table and winner of one backend race for a shape/variant."""
-
-    m: int
-    n: int
-    variant: str
-    timings: dict[str, float]  # backend -> seconds per batched pair call
-    best: str
-    persisted: bool  # whether the winner came from / went to disk
+PLAN_RACE_SCHEMA = "repro-plan-race/1"
+RACE_LANES = 16_384  # lanes of a race call: a fleet-sized A x^{m-1}
+RACE_BYTES = 64 << 20  # ...or as many as this many bytes of lane values hold
+_RACE_NEAR = 2.0  # first timings this near the fastest are sampled again,
+_RACE_SAMPLES = 7  # this many times, alternating,
+_RACE_SAMPLE_SECONDS = 0.01  # each sample repeating the call this long
+_RACES: dict[tuple[int, int], dict] = {}
+_RACE_LOCK = threading.Lock()
 
 
-def _tune_doc_path(m: int, n: int, variant: str):
-    from repro.kernels import diskcache
-    from repro.kernels.codegen import CODEGEN_VERSION
+def _read_race(path, m: int, n: int, backends: list[str]) -> dict | None:
+    """The record at ``path`` if it is whole and was raced on this host's
+    backends under this schema, else ``None``."""
+    from repro.kernels.plan import _VARIANTS
 
-    root = diskcache.cache_dir()
-    if root is None:
+    try:
+        doc = json.loads(path.read_text())
+        valid = (doc["schema"] == PLAN_RACE_SCHEMA
+                 and (doc["m"], doc["n"], doc["backends"]) == (m, n, backends)
+                 and all(v in _VARIANTS and b in backends and seconds > 0
+                         for v, row in doc["timings"].items()
+                         for b, seconds in row.items()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    return root / f"tune-m{m}-n{n}-{variant}-v{CODEGEN_VERSION}.json"
+    return doc if valid else None
 
 
-@lru_cache(maxsize=None)
-def autotune_backend(m: int, n: int, variant: str = "vectorized",
-                     reps: int = 10, seed: int = 0) -> BackendTuneReport:
-    """Race the executable codegen backends on a batched workload and pick
-    the fastest, persisting the winner next to the on-disk plan cache so
-    later processes skip the race (``backend="auto"`` routes here).
+def _time_candidates(calls: dict) -> dict:
+    """Seconds per call of each of ``calls`` (no-argument callables):
+    each is warmed and timed once, and those near the fastest keep the
+    median of more samples, alternating so a slow spell of the host hits
+    them all."""
+    def per_call(call):
+        number, t0 = 0, time.perf_counter()
+        while True:
+            call()
+            number += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= _RACE_SAMPLE_SECONDS:
+                return elapsed / number
 
-    Backends whose optional dependency is missing are excluded (racing
-    numba's numpy fallback against numpy itself would be a coin flip).
-    """
-    from repro.kernels.codegen import available_backends, numba_available
-    from repro.kernels.plan import _build_plan, _canonical_variant
+    first = {}
+    for key, call in calls.items():
+        call()  # warm up: JIT and first-touch costs are not the kernel's
+        first[key] = per_call(call)
+    best = min(first.values())
+    near = {key: [] for key, t in first.items() if t <= _RACE_NEAR * best}
+    for _ in range(_RACE_SAMPLES):
+        for key, samples in near.items():
+            samples.append(per_call(calls[key]))
+    return first | {key: float(np.median(s)) for key, s in near.items()}
 
-    canonical = _canonical_variant(variant, m, n)
-    path = _tune_doc_path(m, n, canonical)
-    if path is not None and path.exists():
-        try:
-            doc = json.loads(path.read_text())
-            best = doc.get("best")
-            if (doc.get("schema") == BACKEND_TUNE_SCHEMA
-                    and best in available_backends(executable=True)
-                    and (best != "numba" or numba_available())):
-                return BackendTuneReport(
-                    m=m, n=n, variant=canonical,
-                    timings={k: float(v)
-                             for k, v in doc.get("timings", {}).items()},
-                    best=best, persisted=True,
-                )
-        except (OSError, ValueError):
-            pass  # unreadable race record: rerun the race below
 
-    candidates = ["numpy"]
-    if numba_available():
-        candidates.append("numba")
-
-    rng = np.random.default_rng(seed)
-    tab_n = n
+def _run_race(m: int, n: int, backends: list[str]) -> dict:
+    from repro.kernels.codegen import _CODEGEN_VARIANTS
+    from repro.kernels.plan import _VARIANTS, _build_plan
+    from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES
     from repro.util.combinatorics import num_unique_entries
 
-    U = num_unique_entries(m, n)
-    values = rng.normal(size=(16, 1, U))
-    x = rng.normal(size=(16, 8, tab_n))
+    t0 = time.perf_counter()
+    unique = num_unique_entries(m, n)
+    lanes = max(1, min(RACE_LANES, RACE_BYTES // (8 * unique)))
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(unique, lanes)).T  # lanes-last, as in a fleet
+    x = rng.normal(size=(lanes, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    calls = {}
+    for variant in _VARIANTS:
+        if variant in _CODEGEN_VARIANTS and unique > MAX_UNROLLED_ENTRIES:
+            continue
+        for backend in backends:
+            plan = _build_plan(m, n, variant, backend)
+            if plan.effective_backend == backend:  # degraded: another's code
+                calls[variant, backend] = partial(plan.ax_m1, values, x)
+    timings: dict = {}
+    for (variant, backend), seconds in _time_candidates(calls).items():
+        timings.setdefault(variant, {})[backend] = seconds
+    return {"schema": PLAN_RACE_SCHEMA, "m": m, "n": n, "lanes": lanes,
+            "backends": backends, "timings": timings,
+            "seconds": time.perf_counter() - t0}
 
-    timings: dict[str, float] = {}
-    for backend in candidates:
-        plan = _build_plan(m, n, canonical, backend)
-        plan.ax_m(values, x)  # warm (JIT specialization happens here)
-        plan.ax_m1(values, x)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            plan.ax_m(values, x)
-            plan.ax_m1(values, x)
-        timings[backend] = (time.perf_counter() - t0) / reps
-    best = min(timings, key=lambda k: timings[k])
 
-    persisted = False
-    if path is not None:
-        from repro.kernels import diskcache
+def plan_race(m: int, n: int) -> dict:
+    """The race record of shape ``(m, n)``, which answers ``"auto"`` on
+    either axis of :func:`repro.kernels.plan.get_plan`: ``{"schema", "m",
+    "n", "lanes", "backends", "timings": {variant: {backend: seconds per
+    call}}, "seconds"}``, the last being the race's own cost.
 
-        try:
-            diskcache.atomic_write_text(path, json.dumps({
-                "schema": BACKEND_TUNE_SCHEMA,
-                "m": m, "n": n, "variant": canonical,
-                "timings": timings, "best": best,
-            }, indent=1))
-            persisted = True
-        except OSError:
-            pass
-    return BackendTuneReport(m=m, n=n, variant=canonical, timings=timings,
-                             best=best, persisted=persisted)
+    Every batched variant races on every executable backend (numba only
+    when installed, generated variants only within the unroll guard, no
+    degraded builds) on ``A x^{m-1}``, the fleet's one kernel call per
+    sweep, with lanes-last float64 values and unit vectors.  The record
+    is persisted next to the plan disk cache for later processes; a
+    damaged or stale one is raced again.  Concurrent callers share one
+    race.
+    """
+    from repro.kernels import diskcache
+    from repro.kernels.codegen import CODEGEN_VERSION, numba_available
+
+    key = (int(m), int(n))
+    with _RACE_LOCK:
+        if key not in _RACES:
+            backends = ["numpy", "numba"] if numba_available() else ["numpy"]
+            root = diskcache.cache_dir()  # None: persistence is off
+            path = root and root / f"tune-m{m}-n{n}-v{CODEGEN_VERSION}.json"
+            record = path and _read_race(path, *key, backends)
+            if not record:
+                record = _run_race(*key, backends)
+                try:
+                    if path:
+                        diskcache.atomic_write_text(path, json.dumps(record))
+                except OSError:
+                    pass  # read-only cache dir: race again next process
+            _RACES[key] = record
+    return _RACES[key]

@@ -14,13 +14,15 @@ per solve.
 Two orthogonal axes select the compiled suite:
 
 * ``variant`` — *what* code runs (``"vectorized"``, ``"unrolled"``,
-  ``"unrolled_cse"``, ``"blocked"``, or ``"auto"`` to autotune);
+  ``"unrolled_cse"`` or ``"blocked"``);
 * ``backend`` — *how* it is compiled, resolved through the
   :mod:`repro.kernels.codegen` emitter registry: ``"numpy"`` (the
-  historical ``exec`` path), ``"numba"`` (native JIT of the straight-line
-  kernels, degrading gracefully to numpy when the dependency is absent),
-  or ``"auto"`` (race the executable backends per shape and persist the
-  winner — see :func:`repro.kernels.autotune.autotune_backend`).
+  historical ``exec`` path) or ``"numba"`` (native JIT of the
+  straight-line kernels, degrading gracefully to numpy when the
+  dependency is absent).
+
+:func:`resolve_names` resolves both, ``"auto"`` on either axis from the
+shape's race record (:func:`repro.kernels.autotune.plan_race`).
 
 Plan construction also reads/writes the persistent on-disk cache
 (:mod:`repro.kernels.diskcache`), so tables and compiled code survive the
@@ -69,18 +71,11 @@ __all__ = [
     "clear_plan_cache",
     "default_plan_cache",
     "get_plan",
+    "resolve_names",
 ]
 
-#: canonical batched variant names plus the historical multistart backend
-#: aliases ("batched", "batched_unrolled")
-_VARIANT_ALIASES: dict[str, str] = {
-    "vectorized": "vectorized",
-    "batched": "vectorized",
-    "unrolled": "unrolled",
-    "batched_unrolled": "unrolled",
-    "unrolled_cse": "unrolled_cse",
-    "blocked": "blocked",
-}
+#: batched variant names ("auto" races them)
+_VARIANTS = ("vectorized", "unrolled", "unrolled_cse", "blocked")
 
 #: backends a host-executable plan can be built on ("auto" races these)
 _PLAN_BACKENDS = ("numpy", "numba")
@@ -130,33 +125,21 @@ class KernelPlan:
         return (self.m, self.n, self.variant, self.backend)
 
 
-def _canonical_variant(variant: str, m: int, n: int) -> str:
-    """Resolve aliases (``"batched"``, ``"batched_unrolled"``) and
-    ``"auto"`` (autotuned) to a canonical batched variant name."""
-    if variant == "auto":
-        from repro.kernels.autotune import autotune
-
-        best = autotune(m, n).best
-        variant = best if best in _VARIANT_ALIASES else "vectorized"
-    if variant not in _VARIANT_ALIASES:
-        raise UnknownVariantError(
-            variant, sorted({*_VARIANT_ALIASES.values()}) + ["auto"]
-        )
-    return _VARIANT_ALIASES[variant]
-
-
 def available_plan_backends() -> list[str]:
     """Backend names :func:`get_plan` accepts (``"auto"`` races the rest)."""
     return [*_PLAN_BACKENDS, "auto"]
 
 
-def _canonical_backend(backend: str, m: int, n: int, variant: str) -> str:
-    """Resolve ``backend`` to a concrete host-executable backend name."""
+def resolve_names(m: int, n: int, variant: str = "vectorized",
+                  backend: str = "numpy") -> tuple[str, str]:
+    """The canonical ``(variant, backend)`` a plan for ``(m, n)`` is built
+    on: backend aliases resolve through :mod:`repro.kernels.codegen`, and
+    ``"auto"`` on either axis takes the fastest pair of the shape's race
+    record (:func:`repro.kernels.autotune.plan_race`) whose other name
+    matches.  Unknown names raise the typed lookup errors."""
     backend = _BACKEND_ALIASES.get(backend, backend)
-    if backend == "auto":
-        from repro.kernels.autotune import autotune_backend
-
-        return autotune_backend(m, n, variant).best
+    if variant != "auto" and variant not in _VARIANTS:
+        raise UnknownVariantError(variant, sorted(_VARIANTS) + ["auto"])
     if backend == "cuda-src":
         raise KernelLookupError(
             "backend 'cuda-src' emits source only and cannot execute on the "
@@ -164,9 +147,22 @@ def _canonical_backend(backend: str, m: int, n: int, variant: str) -> str:
             "for the source, or a host backend "
             f"({available_plan_backends()}) for plans"
         )
-    if backend not in _PLAN_BACKENDS:
+    if backend != "auto" and backend not in _PLAN_BACKENDS:
         raise UnknownBackendError(backend, available_plan_backends())
-    return backend
+    if "auto" not in (variant, backend):
+        return variant, backend
+    from repro.kernels.autotune import plan_race
+
+    timings = plan_race(m, n)["timings"]
+    raced = [(seconds, v, b) for v, row in timings.items()
+             if variant in ("auto", v)
+             for b, seconds in row.items() if backend in ("auto", b)]
+    # nothing raced under a fixed name (a generated variant past the unroll
+    # guard, numba absent): the "auto" axis takes its default, and the
+    # build fails or degrades as the explicit request would
+    default = (0.0, "vectorized" if variant == "auto" else variant,
+               "numpy" if backend == "auto" else backend)
+    return min(raced, default=default)[1:]
 
 
 def _num_threads(values: np.ndarray, x: np.ndarray) -> int:
@@ -352,8 +348,7 @@ class PlanCache:
         from repro.instrument.metrics import observe_plan_cache
 
         m, n = int(m), int(n)
-        canonical = _canonical_variant(variant, m, n)
-        canonical_backend = _canonical_backend(backend, m, n, canonical)
+        canonical, canonical_backend = resolve_names(m, n, variant, backend)
         key = (m, n, canonical, canonical_backend)
         with self._lock:
             plan = self._plans.get(key)

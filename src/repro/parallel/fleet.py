@@ -22,9 +22,10 @@ Two executor tiers share the partition/merge discipline:
     :mod:`repro.parallel.comm` (bytes moved vs. flops computed, after the
     block-partitioned Symv analysis of arXiv:2506.15488).
 
-Either way every shard shares one starting-vector set and all shards
-resolve kernels from the same plan cache, so the merged ``(T, V)`` result
-is bit-for-bit the single-worker fleet result.  Shards are cut by
+Either way every shard shares one starting-vector set, and the kernel
+names (``"auto"`` included) are resolved once before any shard starts, so
+every shard runs the same plan and the merged ``(T, V)`` result is
+bit-for-bit the single-worker fleet result.  Shards are cut by
 :func:`~repro.parallel.partition.cost_weighted_partition` fed with
 per-tensor kernel-plan flop estimates; worker counts exceeding the batch
 size are clamped with a warning (the partition itself refuses empty
@@ -243,6 +244,7 @@ def parallel_fleet_solve(
         ``SolveConfig.deadline``.
     """
     from repro.engine.fleet import fleet_solve
+    from repro.kernels.plan import resolve_names
 
     num_starts = resolve_option("num_starts", num_starts, config, 32)
     alpha = resolve_option("alpha", alpha, config, 0.0)
@@ -252,6 +254,12 @@ def parallel_fleet_solve(
     dtype = resolve_option("dtype", dtype, config, np.float64)
     rng = resolve_option("rng", rng, config, None)
     deadline = resolve_option("deadline", deadline, config, None)
+    guards = resolve_option("guards", guards, config, None)
+    # resolved before any shard starts: every shard runs one kernel
+    variant, backend = resolve_names(
+        tensors.m, tensors.n,
+        resolve_option("variant", variant, config, "vectorized"),
+        resolve_option("backend", backend, config, "numpy"))
     if deadline is not None:
         user_stop = stop
 
@@ -341,7 +349,7 @@ def parallel_fleet_solve(
             return _process_tier(
                 tensors, workers, starts, weights, alpha=alpha, tol=tol,
                 max_iters=max_iters, variant=variant, backend=backend,
-                dtype=dtype, config=config, adaptive=adaptive,
+                dtype=dtype, adaptive=adaptive,
                 compact_every=compact_every, guards=guards, steal=steal,
                 start_method=start_method, max_requeues=max_requeues,
                 faults=faults, parent=parent, t0=t0,
@@ -428,11 +436,11 @@ def _predicted_imbalance(weights: np.ndarray, ranges) -> float:
 
 
 def _process_tier(tensors, workers, starts, weights, *, alpha, tol,
-                  max_iters, variant, backend, dtype, config, adaptive,
+                  max_iters, variant, backend, dtype, adaptive,
                   compact_every, guards, steal, start_method, max_requeues,
                   faults, parent, t0, stop=None,
                   deadline=None) -> FleetRunReport:
-    """Resolve process-tier options and delegate to
+    """Pick the process tier's shards and delegate to
     :func:`repro.parallel.procfleet.process_fleet_solve`."""
     from repro.parallel.procfleet import process_fleet_solve
 
@@ -449,19 +457,13 @@ def _process_tier(tensors, workers, starts, weights, *, alpha, tol,
     else:
         shards = ranges
 
-    # workers receive primitives, not a config: resolve the config-backed
-    # options here exactly as fleet_solve would
-    variant_r = resolve_option("backend", variant, config, "vectorized")
-    backend_r = resolve_option("codegen_backend", backend, config, "numpy")
-    guards_r = resolve_option("guards", guards, config, None)
-
     workers_traced = 0
     with _span("parallel_fleet_solve"):
         result, info = process_fleet_solve(
             tensors, shards, starts, workers=workers, alpha=alpha, tol=tol,
-            max_iters=max_iters, variant=variant_r, backend=backend_r,
+            max_iters=max_iters, variant=variant, backend=backend,
             dtype=dtype, adaptive=adaptive, compact_every=compact_every,
-            guards=guards_r, start_method=start_method,
+            guards=guards, start_method=start_method,
             max_requeues=max_requeues, faults=faults,
             stop=stop, deadline=deadline,
         )

@@ -246,8 +246,8 @@ def process_fleet_solve(
     """Run ``shards`` of ``tensors`` on a pool of worker processes.
 
     ``variant``/``backend``/``guards`` must already be resolved (no
-    ``config`` fallback here — the parent resolves once so workers get
-    primitives).  ``faults`` maps shard id → ``"crash"`` | ``"kill"``,
+    ``config`` or ``"auto"`` here — the parent resolves once so workers
+    get one plan).  ``faults`` maps shard id → ``"crash"`` | ``"kill"``,
     injected on the shard's *first* attempt only (the chaos suite's
     deterministic crash hook).  Returns ``(result, info)`` where ``info``
     carries the per-shard metadata the caller folds into its

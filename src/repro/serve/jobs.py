@@ -46,6 +46,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.faults import FaultPlan
 from repro.symtensor.random import random_symmetric_batch
 from repro.symtensor.storage import SymmetricTensorBatch
+from repro.util.combinatorics import num_unique_entries
 from repro.util.rng import starting_vectors
 
 __all__ = ["Job", "JobSpec", "run_job"]
@@ -98,20 +99,23 @@ class JobSpec:
         if not isinstance(tensors, dict):
             raise BadSpec("request needs a 'tensors' object")
         kind = tensors.get("kind", "random")
-        if kind == "random":
-            for key in ("count", "m", "n"):
-                if not isinstance(tensors.get(key), int) or tensors[key] < 1:
-                    raise BadSpec(
-                        f"tensors.{key} must be a positive integer")
-            tensors.setdefault("seed", 0)
-        elif kind == "values":
-            if not isinstance(tensors.get("values"), list):
-                raise BadSpec("tensors.values must be a list of rows")
-            for key in ("m", "n"):
-                if not isinstance(tensors.get(key), int):
-                    raise BadSpec(f"tensors.{key} must be an integer")
-        else:
+        if kind not in ("random", "values"):
             raise BadSpec(f"unknown tensors.kind {kind!r}")
+        for key in ("count", "m", "n") if kind == "random" else ("m", "n"):
+            if not isinstance(tensors.get(key), int) or tensors[key] < 1:
+                raise BadSpec(f"tensors.{key} must be a positive integer")
+        if kind == "random":
+            tensors.setdefault("seed", 0)
+        else:
+            rows = tensors.get("values")
+            width = num_unique_entries(tensors["m"], tensors["n"])
+            if not isinstance(rows, list) or not rows or not all(
+                    isinstance(row, list) and len(row) == width
+                    and all(isinstance(v, (int, float)) for v in row)
+                    for row in rows):
+                raise BadSpec(
+                    f"tensors.values must be a non-empty list of rows of "
+                    f"C(m+n-1, m) = {width} numbers")
         executor = doc.get("executor", "thread")
         if executor not in ("thread", "process", "auto"):
             raise BadSpec(f"executor must be thread/process/auto, "

@@ -92,9 +92,9 @@ class ServeConfig:
 
 
 class EigenServer:
-    """One daemon instance; create, :meth:`start`, then either
-    :meth:`serve_forever` (installs signal handlers, blocks, drains) or
-    drive :meth:`submit`/:meth:`drain` directly (tests do)."""
+    """One daemon instance; create, then either :meth:`serve_forever`
+    (installs signal handlers, starts, blocks, drains) or :meth:`start`
+    and drive :meth:`submit`/:meth:`drain` directly (tests do)."""
 
     def __init__(self, config: ServeConfig):
         self.config = config
@@ -119,8 +119,14 @@ class EigenServer:
     # lifecycle
 
     def start(self) -> tuple[str, int]:
-        """Load any drain manifest, start runners and the HTTP listener;
-        returns the bound ``(host, port)`` (real port when 0 was asked)."""
+        """Bind the HTTP listener, load any drain manifest, start runners
+        and serve; returns the bound ``(host, port)`` (real port when 0
+        was asked).  The bind comes first, so a busy port fails before
+        the manifest is taken."""
+        self._httpd = ThreadingHTTPServer(
+            (self.config.host, self.config.port), _Handler)
+        self._httpd.daemon_threads = True
+        self._httpd.app = self
         resume_dir = self.config.resume_dir
         if resume_dir is not None:
             self._load_resume(Path(resume_dir))
@@ -129,10 +135,6 @@ class EigenServer:
                                  name=f"repro-serve-runner-{i}", daemon=True)
             t.start()
             self._runner_threads.append(t)
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.app = self
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": POLL_INTERVAL},
@@ -145,21 +147,24 @@ class EigenServer:
         return host, port
 
     def serve_forever(self, on_ready=None) -> int:
-        """Block until SIGTERM/SIGINT, then drain; returns the exit code.
+        """Install SIGTERM/SIGINT handlers, :meth:`start`, block until a
+        signal, then drain; returns the exit code.
 
         The handlers only set an event — the drain itself (locks, file
         writes, thread joins) runs here on the main thread, where it is
-        signal-safe.  ``on_ready()`` runs once the handlers are in place,
-        so a signal sent as soon as it has announced the server drains
-        it instead of killing it.
+        signal-safe.  They go in before :meth:`start` takes a resume
+        manifest's jobs and deletes it, so from then on a signal drains
+        those jobs instead of killing them.  ``on_ready(host, port)`` runs
+        once the server is up.
         """
         previous = {}
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous[signum] = signal.signal(
                 signum, lambda *_: self._shutdown.set())
         try:
+            host, port = self.start()
             if on_ready is not None:
-                on_ready()
+                on_ready(host, port)
             # timed: a signal the kernel hands to a non-main thread only
             # flags the main thread, which an untimed wait never rechecks
             while not self._shutdown.wait(0.5):

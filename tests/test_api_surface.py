@@ -46,7 +46,6 @@ SIGNATURES = [
     "repro.kernels.codegen.get_emitter",
     "repro.kernels.codegen.register_emitter",
     "repro.kernels.codegen.available_backends",
-    "repro.kernels.autotune_backend",
     "repro.instrument.emit",
     "repro.instrument.read_events",
     "repro.instrument.validate_event",

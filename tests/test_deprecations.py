@@ -138,7 +138,49 @@ class TestOneKernelLookup:
     def test_plan_path_is_silent(self):
         from repro.kernels.plan import get_plan
 
-        assert catch(lambda: get_plan(4, 3, "batched")) == []
+        assert catch(lambda: get_plan(4, 3, "vectorized")) == []
+
+
+class TestOneNamePerKernelOption:
+    """``variant=`` names the batched kernel variant and ``backend=`` the
+    codegen backend at every layer; the other spellings fail loudly."""
+
+    def test_solve_config_has_no_codegen_backend(self):
+        from repro.core import SolveConfig
+
+        with pytest.raises(TypeError, match="codegen_backend"):
+            SolveConfig(codegen_backend="numpy")
+        cfg = SolveConfig(variant="unrolled", backend="numpy")
+        assert (cfg.variant, cfg.backend) == ("unrolled", "numpy")
+
+    def test_solve_rejects_codegen_backend(self):
+        import repro
+
+        batch = random_symmetric_batch(2, 3, 3, rng=9)
+        with pytest.raises(TypeError, match="codegen_backend"):
+            repro.solve(batch, starts=2, codegen_backend="numpy")
+
+    def test_solve_backend_is_not_a_variant(self):
+        import repro
+        from repro.kernels.errors import UnknownBackendError
+
+        batch = random_symmetric_batch(2, 3, 3, rng=9)
+        with pytest.raises(UnknownBackendError):
+            repro.solve(batch, starts=2, backend="unrolled")
+
+    @pytest.mark.parametrize("alias", ["batched", "batched_unrolled"])
+    def test_multistart_variant_aliases_removed(self, alias):
+        from repro.kernels.errors import UnknownVariantError
+        from repro.kernels.plan import get_plan
+
+        with pytest.raises(UnknownVariantError):
+            get_plan(4, 3, alias)
+
+    @pytest.mark.parametrize("name", ["autotune_backend",
+                                      "BackendTuneReport"])
+    def test_backend_race_removed(self, name):
+        assert not hasattr(repro.kernels, name)
+        assert not hasattr(import_module("repro.kernels.autotune"), name)
 
 
 class TestCoreSolverShims:

@@ -279,9 +279,14 @@ class TestKernelDispatch:
                 )
 
     def test_batched_aliases_resolve(self):
-        assert get_plan(4, 3, "batched") is get_plan(4, 3, "vectorized")
-        assert get_plan(4, 3, "batched_unrolled") is get_plan(4, 3, "unrolled")
-        assert get_plan(4, 3, "batched").suite.name == "vectorized"
+        """The multistart-era aliases are gone: ``"batched"`` and
+        ``"batched_unrolled"`` are unknown variants, and the canonical
+        names build their own suites."""
+        for alias in ("batched", "batched_unrolled"):
+            with pytest.raises(UnknownVariantError):
+                get_plan(4, 3, alias)
+        assert get_plan(4, 3, "vectorized").suite.name == "vectorized"
+        assert get_plan(4, 3, "unrolled").suite.name == "unrolled"
 
     def test_batched_counter_passthrough(self):
         tensor = random_symmetric_tensor(4, 3, rng=0)

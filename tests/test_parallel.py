@@ -160,6 +160,40 @@ class TestExecutor:
                                           one.result.iterations)
         assert not two.result.converged.any()  # tol=0.0 is honoured too
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_auto_resolves_once_for_every_shard(self, monkeypatch):
+        """``"auto"`` is resolved to canonical kernel names before any
+        shard starts: every thread shard's ``fleet_solve`` and the names
+        shipped to process workers are the same canonical pair, so no two
+        shards can run different kernels."""
+        import repro.engine.fleet as engine
+        import repro.parallel.procfleet as procfleet
+        from repro.kernels.plan import get_plan
+
+        seen = []
+
+        def recording(real):
+            def call(*args, **kwargs):
+                seen.append((kwargs["variant"], kwargs["backend"]))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(engine, "fleet_solve",
+                            recording(engine.fleet_solve))
+        monkeypatch.setattr(procfleet, "process_fleet_solve",
+                            recording(procfleet.process_fleet_solve))
+        from repro.parallel.shm import SHM_AVAILABLE
+
+        batch = random_symmetric_batch(4, 3, 3, rng=1)
+        for executor in ("thread", "process") if SHM_AVAILABLE else ("thread",):
+            parallel_fleet_solve(batch, workers=2, num_starts=4, rng=0,
+                                 alpha=2.0, max_iters=20, variant="auto",
+                                 backend="auto", executor=executor,
+                                 steal=False)
+        plan = get_plan(3, 3, "auto", "auto")
+        assert len(seen) == (3 if SHM_AVAILABLE else 2)
+        assert set(seen) == {(plan.variant, plan.backend)}
+
 
 class TestCpuModelAnchors:
     """Table III CPU rows (the calibration targets, recorded here so any

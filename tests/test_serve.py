@@ -1072,6 +1072,19 @@ class TestServerHTTP:
                               (b"{}", {"Content-Length": "abc"})):
             status, doc = _post_raw(base + "/solve", body, headers)
             assert status == 400 and doc["error"] == "bad_request", body
+        # inline values whose rows do not hold C(m+n-1, m) = 20 numbers for
+        # (3, 4), and a non-positive order: 400 at the door, not a job
+        # that takes a queue slot and a runner and then fails
+        for tensors in ({"values": [[1, 2]]},
+                        {"values": [[1.0] * 15]},
+                        {"values": [[None] * 20]},
+                        {"values": [[1.0] * 15, [1.0] * 14]},
+                        {"values": [[1.0] * 20, [1.0] * 19]},
+                        {"values": []},
+                        {"values": [[1.0]], "m": 0}):
+            doc = {"tensors": {"kind": "values", "m": 3, "n": 4, **tensors}}
+            status, _, reply = _http("POST", base + "/solve", doc)
+            assert status == 400 and reply["error"] == "bad_request", tensors
         assert _http("GET", base + "/healthz")[0] == 200
 
     def test_metrics_exposition(self, server):
@@ -1084,20 +1097,23 @@ class TestServerHTTP:
         assert "repro_serve_requests_total" in text
         assert "repro_serve_jobs_total" in text
 
-    def test_ready_callback_runs_under_signal_handlers(self, server):
-        """``serve_forever`` calls ``on_ready`` (where the CLI prints its
-        ready line) only once SIGTERM drains instead of kills, so a
-        supervisor may signal as soon as it reads the line."""
-        srv, _ = server
+    def test_ready_callback_runs_under_signal_handlers(self, tmp_path):
+        """``serve_forever`` starts the server and calls
+        ``on_ready(host, port)`` (where the CLI prints its ready line)
+        only once SIGTERM drains instead of kills, so a supervisor may
+        signal as soon as it reads the line."""
+        srv = EigenServer(ServeConfig(port=0, runners=1,
+                                      checkpoint_dir=tmp_path / "ckpt"))
         before = signal.getsignal(signal.SIGTERM)
         seen = []
 
-        def on_ready():
-            seen.append(signal.getsignal(signal.SIGTERM))
+        def on_ready(host, port):
+            seen.append((signal.getsignal(signal.SIGTERM), port))
             srv.shutdown()
 
         assert srv.serve_forever(on_ready=on_ready) == 0
-        assert seen and seen[0] not in (before, signal.SIG_DFL)
+        assert seen and seen[0][0] not in (before, signal.SIG_DFL)
+        assert seen[0][1] > 0  # the bound port, not the 0 asked for
         assert signal.getsignal(signal.SIGTERM) is before
         assert srv.draining
 
@@ -1244,6 +1260,31 @@ class TestResumeOverfullManifest:
             srv.drain()
 
 
+class TestResumeOnBusyPort:
+    """Regression: ``start()`` took the drain manifest's jobs and deleted
+    the manifest before binding its port, so a restart on a busy port
+    failed with the resumed jobs gone from disk."""
+
+    def test_busy_port_keeps_the_manifest(self, tmp_path):
+        import socket
+
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        spec_doc = JobSpec.from_doc(json.loads(json.dumps(SPEC))).to_doc()
+        write_drain_manifest(ckpt, [
+            {"job": "r0", "run_id": "rid0", "state": "queued",
+             "spec": spec_doc, "checkpoint": None}])
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            srv = EigenServer(ServeConfig(
+                port=busy.getsockname()[1], runners=1, checkpoint_dir=ckpt,
+                resume_dir=ckpt))
+            with pytest.raises(OSError):
+                srv.start()
+        assert [e["job"] for e in read_drain_manifest(ckpt)] == ["r0"]
+
+
 class TestBreakerOverHTTP:
     """Acceptance: SIGKILL a fleet worker mid-request — the breaker
     trips, the request completes, and the next process-tier request is
@@ -1322,6 +1363,39 @@ def _ready_base(proc):
     ready = json.loads(line)
     assert ready["event"] == "ready"
     return f"http://{ready['host']}:{ready['port']}"
+
+
+class TestResumeWindowSigterm:
+    """Regression: ``--resume-dir`` deletes the drain manifest once its
+    jobs are in memory, so from that moment a SIGTERM must drain them
+    into a new manifest; before the signal handlers went in ahead of the
+    resume load, it killed the process (exit -15) and the jobs were lost."""
+
+    def test_sigterm_as_the_manifest_is_taken(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        spec_doc = JobSpec.from_doc(json.loads(json.dumps(SOAK_SPEC))).to_doc()
+        manifest = write_drain_manifest(ckpt, [
+            {"job": "resumed", "run_id": "rid", "state": "queued",
+             "spec": spec_doc, "checkpoint": None}])
+        proc = _serve_proc(["--checkpoint-dir", str(ckpt),
+                            "--resume-dir", str(ckpt)], tmp_path)
+        try:
+            deadline = time.time() + 60
+            while manifest.exists():  # bounded poll for the resume load
+                assert proc.poll() is None and time.time() < deadline
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert json.loads(out.strip().splitlines()[-1])["event"] == "drained"
+        entries = read_drain_manifest(ckpt)
+        assert entries is not None, "the resumed job was lost"
+        assert [e["job"] for e in entries] == ["resumed"]
 
 
 @pytest.mark.skipif(not _shm_available(), reason="shared_memory unavailable")

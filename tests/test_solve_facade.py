@@ -121,8 +121,14 @@ class TestReport:
         assert [p.eigenvalue for p in given] == [p.eigenvalue for p in captured]
 
     def test_backend_alias_for_fleet_variant(self, batch):
-        rep = repro.solve(batch, starts=4, alpha=5.0, rng=0,
-                          max_iters=100, backend="unrolled")
+        """``backend=`` names only the codegen backend: a variant name
+        there is an unknown backend, and ``variant=`` picks the kernel."""
+        from repro.kernels.errors import UnknownBackendError
+
+        kwargs = dict(starts=4, alpha=5.0, rng=0, max_iters=100)
+        with pytest.raises(UnknownBackendError):
+            repro.solve(batch, backend="unrolled", **kwargs)
+        rep = repro.solve(batch, variant="unrolled", **kwargs)
         assert rep.result.variant == "unrolled"
 
     def test_backend_aliases_come_from_codegen(self, batch, monkeypatch):
