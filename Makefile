@@ -26,8 +26,8 @@ test: smoke-instrument api-check codegen-check  ## tier-1: instrumentation smoke
 api-check:  ## public API must match the checked-in snapshot
 	python -m pytest -q tests/test_api_surface.py
 
-codegen-check:  ## every (variant, backend) emitter must agree with the reference at 1e-10
-	python -m pytest -q tests/test_codegen_agreement.py
+codegen-check:  ## every renderer of the one unrolled term list: numpy and numba emitters agree with the reference at 1e-10, the CUDA C source is checked and run on the host C++ compiler (skips without one)
+	python -m pytest -q tests/test_codegen_agreement.py tests/test_cudagen.py tests/test_cuda_emulation.py
 
 chaos:  ## fault-injection suite (deterministic; seed pinned)
 	REPRO_CHAOS_SEED=20110516 python -m pytest -q tests/test_chaos.py

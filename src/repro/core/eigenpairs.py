@@ -109,7 +109,9 @@ def projected_hessian_eigenvalues(
 
     All negative  -> ``x`` is a strict local maximum of ``f`` on the sphere
     (positive stable); all positive -> local minimum (negative stable);
-    mixed signs -> saddle.
+    mixed signs -> saddle.  A non-finite restriction (a tensor holding NaN
+    or Inf) gives NaN eigenvalues at every ``n``, where ``eigvalsh`` would
+    raise from ``n = 4`` on.
     """
     x = np.asarray(x, dtype=np.float64)
     n = tensor.n
@@ -120,6 +122,8 @@ def projected_hessian_eigenvalues(
     tangent = u[:, 1:]
     restricted = tangent.T @ H @ tangent
     restricted = 0.5 * (restricted + restricted.T)
+    if not np.isfinite(restricted).all():
+        return np.full(n - 1, np.nan)
     return np.linalg.eigvalsh(restricted)
 
 

@@ -24,7 +24,7 @@ from repro.kernels.compressed import (
     symmetric_flops_vector,
     ttsv_compressed,
 )
-from repro.kernels.autotune import TuneReport, auto_kernels, autotune
+from repro.kernels.autotune import TuneReport, auto_kernels
 from repro.kernels.codegen import (
     CODEGEN_VERSION,
     EmittedKernel,
@@ -56,7 +56,6 @@ from repro.kernels.reference import (
     ttsv_dense,
 )
 from repro.kernels.tables import KernelTables, kernel_tables
-from repro.kernels.unrolled import UnrolledKernels
 
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "ttsv_compressed",
     "TuneReport",
     "auto_kernels",
-    "autotune",
     "CODEGEN_VERSION",
     "EmittedKernel",
     "Emitter",
@@ -107,5 +105,4 @@ __all__ = [
     "ttsv_dense",
     "KernelTables",
     "kernel_tables",
-    "UnrolledKernels",
 ]

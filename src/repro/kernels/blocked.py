@@ -84,38 +84,42 @@ def block_shapes(m: int) -> list[tuple[int, ...]]:
 
 
 def _chunk_monomial_weights(q: int, x_chunk: np.ndarray) -> np.ndarray:
-    """``w^{q}[u] = C(q; k(u)) * x_chunk^{monomial(u)}`` for all order-``q``
-    classes over this chunk (length ``C(q+b-1, q)``)."""
-    b = x_chunk.shape[0]
+    """``w^{q}[..., u] = C(q; k(u)) * x_chunk^{monomial(u)}`` for all
+    order-``q`` classes over this chunk (last axis ``C(q+b-1, q)``), for
+    every leading index of ``x_chunk`` (shape ``(..., b)``)."""
+    b = x_chunk.shape[-1]
     if q == 1:
         return x_chunk.copy()
     tab = kernel_tables(q, b)
-    mono = x_chunk[tab.index[:, 0]].copy()
+    mono = x_chunk[..., tab.index[:, 0]].copy()
     for j in range(1, q):
-        mono *= x_chunk[tab.index[:, j]]
+        mono *= x_chunk[..., tab.index[:, j]]
     return mono * tab.mult.astype(x_chunk.dtype)
 
 
 def _chunk_monomial_jacobian(q: int, x_chunk: np.ndarray) -> np.ndarray:
-    """``D^{q}[i, u] = d w^{q}[u] / d x_i`` — a ``(b, U_q)`` matrix.
+    """``D^{q}[..., i, u] = d w^{q}[u] / d x_i`` — a ``(b, U_q)`` matrix
+    per leading index.
 
     Using ``w[u] = C(q;k) x^k``: ``dw[u]/dx_i = C(q;k) k_i x^{k - e_i}
     = q * sigma_u(i) * x^{k-e_i}`` via the footnote-3 identity
     ``sigma = C(q;k) k_i / q``.
     """
-    b = x_chunk.shape[0]
+    b = x_chunk.shape[-1]
+    lead = x_chunk.shape[:-1]
     if q == 1:
-        return np.eye(b, dtype=x_chunk.dtype)
+        eye = np.eye(b, dtype=x_chunk.dtype)
+        return np.broadcast_to(eye, lead + (b, b)).copy()
     tab = kernel_tables(q, b)
-    D = np.zeros((b, tab.num_unique), dtype=x_chunk.dtype)
     if tab.row_factors.shape[1] == 0:
-        f = np.ones(tab.num_rows, dtype=x_chunk.dtype)
+        f = np.ones(lead + (tab.num_rows,), dtype=x_chunk.dtype)
     else:
-        f = x_chunk[tab.row_factors[:, 0]].copy()
+        f = x_chunk[..., tab.row_factors[:, 0]].copy()
         for j in range(1, q - 1):
-            f *= x_chunk[tab.row_factors[:, j]]
-    contrib = q * tab.row_sigma.astype(x_chunk.dtype) * f
-    D[tab.row_out, tab.row_class] = contrib
+            f *= x_chunk[..., tab.row_factors[:, j]]
+    contrib = q * tab.row_sigma.astype(x_chunk.dtype) * f  # (..., R)
+    D = np.zeros(lead + (b, tab.num_unique), dtype=x_chunk.dtype)
+    D[..., tab.row_out, tab.row_class] = contrib
     return D
 
 

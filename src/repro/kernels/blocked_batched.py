@@ -20,46 +20,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.blocked import BlockingPlan, blocking_plan
-from repro.kernels.tables import kernel_tables
+from repro.kernels.blocked import (
+    BlockingPlan,
+    _chunk_monomial_jacobian,
+    _chunk_monomial_weights,
+    blocking_plan,
+)
 from repro.util.flopcount import FlopCounter, null_counter
 
 __all__ = ["ax_m_blocked_batched", "ax_m1_blocked_batched", "infer_plan"]
 
 _EINSUM_AXES = "abcdefgh"  # supports block shapes with up to 8 distinct chunks
-
-
-def _chunk_weights_batched(q: int, x_chunk: np.ndarray) -> np.ndarray:
-    """``(..., U_q)`` weighted monomials of order ``q`` for every leading
-    index of ``x_chunk`` (shape ``(..., b)``)."""
-    b = x_chunk.shape[-1]
-    if q == 1:
-        return x_chunk.copy()
-    tab = kernel_tables(q, b)
-    mono = x_chunk[..., tab.index[:, 0]].copy()
-    for j in range(1, q):
-        mono *= x_chunk[..., tab.index[:, j]]
-    return mono * tab.mult.astype(x_chunk.dtype)
-
-
-def _chunk_jacobian_batched(q: int, x_chunk: np.ndarray) -> np.ndarray:
-    """``(..., b, U_q)`` per-leading-index Jacobians ``d w^q[u] / d x_i``."""
-    b = x_chunk.shape[-1]
-    lead = x_chunk.shape[:-1]
-    if q == 1:
-        eye = np.eye(b, dtype=x_chunk.dtype)
-        return np.broadcast_to(eye, lead + (b, b)).copy()
-    tab = kernel_tables(q, b)
-    if tab.row_factors.shape[1] == 0:
-        f = np.ones(lead + (tab.num_rows,), dtype=x_chunk.dtype)
-    else:
-        f = x_chunk[..., tab.row_factors[:, 0]].copy()
-        for j in range(1, q - 1):
-            f *= x_chunk[..., tab.row_factors[:, j]]
-    contrib = q * tab.row_sigma.astype(x_chunk.dtype) * f  # (..., R)
-    D = np.zeros(lead + (b, tab.num_unique), dtype=x_chunk.dtype)
-    D[..., tab.row_out, tab.row_class] = contrib
-    return D
 
 
 def infer_plan(values: np.ndarray, x: np.ndarray, block_size: int = 6) -> BlockingPlan:
@@ -104,7 +75,7 @@ def ax_m_blocked_batched(
         for c, q in zip(blk.chunks, blk.orders):
             if (c, q) not in weights:
                 lo, hi = plan.chunk_bounds[c]
-                weights[(c, q)] = _chunk_weights_batched(q, x[..., lo:hi])
+                weights[(c, q)] = _chunk_monomial_weights(q, x[..., lo:hi])
 
     out_shape = np.broadcast_shapes(values.shape[:-1], x.shape[:-1])
     y = np.zeros(out_shape, dtype=np.result_type(values.dtype, x.dtype))
@@ -147,8 +118,8 @@ def ax_m1_blocked_batched(
         for c, q in zip(blk.chunks, blk.orders):
             if (c, q) not in weights:
                 lo, hi = plan.chunk_bounds[c]
-                weights[(c, q)] = _chunk_weights_batched(q, x[..., lo:hi])
-                jacobians[(c, q)] = _chunk_jacobian_batched(q, x[..., lo:hi])
+                weights[(c, q)] = _chunk_monomial_weights(q, x[..., lo:hi])
+                jacobians[(c, q)] = _chunk_monomial_jacobian(q, x[..., lo:hi])
 
     lead = np.broadcast_shapes(values.shape[:-1], x.shape[:-1])
     y = np.zeros(lead + (n,), dtype=np.result_type(values.dtype, x.dtype))

@@ -2,14 +2,14 @@
 
 The paper's speed comes from *shape-specialized* kernels: generate the
 fully-unrolled straight-line code for one ``(m, n)`` once, compile it
-once, reuse it across every thread block.  This repo historically had two
-disconnected generators — :mod:`repro.kernels.unrolled` (Python source,
-``exec``-compiled) and :mod:`repro.kernels.cudagen` (CUDA C source) — and
-no way to add a third.  This module folds them into a single registry of
-*emitters*, following the code-generation playbook of Shi et al.
-(arXiv:2110.00186): every backend turns ``(m, n, variant)`` into an
-:class:`EmittedKernel`, and new backends plug in with
-:func:`register_emitter`.
+once, reuse it across every thread block.  Following the code-generation
+playbook of Shi et al. (arXiv:2110.00186), the kernels are described
+once — :func:`repro.kernels.unrolled.unrolled_terms` builds their term
+list, CSE powers and flop counts — and every *emitter* of this registry
+only renders that list: Python for ``exec``, the numba flat-batch loop,
+or CUDA C (:mod:`repro.kernels.cudagen`).  Every backend turns
+``(m, n, variant)`` into an :class:`EmittedKernel`, and new backends plug
+in with :func:`register_emitter`.
 
 First-class backends
 --------------------
@@ -44,13 +44,12 @@ from typing import Callable
 import numpy as np
 
 from repro.kernels.errors import UnknownBackendError, UnknownVariantError
-from repro.kernels.tables import kernel_tables
 from repro.kernels.unrolled import (
     MAX_UNROLLED_ENTRIES,
-    UnrolledKernels,
-    _make_unrolled,
-    _monomial_expr,
+    UnrolledTerms,
+    unrolled_terms,
 )
+from repro.util.combinatorics import num_unique_entries
 
 __all__ = [
     "CODEGEN_VERSION",
@@ -202,25 +201,77 @@ def emit(m: int, n: int, variant: str = "unrolled_cse", *,
     return get_emitter(target).emit(int(m), int(n), variant, **opts)
 
 
-# -- numpy: the exec-compiled unrolled kernels -----------------------------
+# -- rendering the term list as Python ---------------------------------------
 
 
 def _variant_cse(variant: str) -> bool:
     return variant == "unrolled_cse"
 
 
+def _accumulate(var: str, terms: tuple[str, ...], indent: str) -> list[str]:
+    """``var = t0`` then ``var += t`` per further term.
+
+    Accumulation *statements*, not one giant sum expression: CPython's
+    compiler recurses on expression depth and overflows past ~1000
+    chained additions, while a statement list compiles flat at any
+    length.
+    """
+    return [f"{indent}{var} = {terms[0]}",
+            *(f"{indent}{var} += {t}" for t in terms[1:])]
+
+
+def _python_bodies(terms: UnrolledTerms, n: int, x_value: str,
+                   indent: str) -> tuple[list[str], list[str]]:
+    """Statements of the two Python kernels: bind ``x0..`` (``x_value``
+    formats entry ``i``), define the CSE powers, then sum the terms into
+    ``acc`` (``A x^m``) or ``y0..`` (``A x^{m-1}``)."""
+    head = [f"{indent}x{i} = {x_value.format(i)}" for i in range(n)]
+    head += [f"{indent}{name} = {expr}" for name, expr in terms.powers]
+    vector = list(head)
+    for i, entry in enumerate(terms.ax_m1):
+        vector += _accumulate(f"y{i}", entry, indent)
+    return head + _accumulate("acc", terms.ax_m, indent), vector
+
+
+# -- numpy: the exec-compiled unrolled kernels -----------------------------
+
+
 @lru_cache(maxsize=None)
 def _numpy_emit(m: int, n: int, variant: str, batched: bool) -> EmittedKernel:
+    """Render, ``exec``-compile and cache the kernel pair: scalar
+    ``ax_m(a, x) -> float`` and ``ax_m1(a, x) -> ndarray(n)`` over the
+    unique values ``a``, or, ``batched``, over broadcasting
+    ``a[..., U]`` / ``x[..., n]`` arrays — the whole-device analog, one
+    generated expression evaluating every (tensor, start) lane at once."""
     from repro.instrument.metrics import observe_codegen_compile
 
-    before = _make_unrolled.cache_info().misses
+    cse = _variant_cse(variant)
     t0 = time.perf_counter()
-    gen: UnrolledKernels = _make_unrolled(m, n, cse=_variant_cse(variant),
-                                          batched=batched)
+    terms = unrolled_terms(m, n, cse, "a[..., {}]" if batched else "a[{}]")
+    scalar, vector = _python_bodies(
+        terms, n, "x[..., {}]" if batched else "x[{}]", "    ")
+    ys = ", ".join(f"y{i}" for i in range(n))
+    source = "\n".join([
+        f'"""Auto-generated unrolled kernels for m={m}, n={n} '
+        f'(cse={cse}, batched={batched})."""',
+        "import numpy as np",
+        "",
+        "def ax_m(a, x):",
+        *scalar,
+        "    return acc",
+        "",
+        "def ax_m1(a, x):",
+        *vector,
+        (f"    return np.stack(np.broadcast_arrays({ys}), axis=-1)"
+         if batched else f"    return np.array([{ys}])"),
+        "",
+    ])
+    namespace: dict = {}
+    code = compile(source, f"<unrolled m={m} n={n} cse={cse} batched={batched}>",
+                   "exec")
+    exec(code, namespace)  # noqa: S102 - controlled, generated source
     dt = time.perf_counter() - t0
-    fresh = _make_unrolled.cache_info().misses > before
-    if fresh:
-        observe_codegen_compile("numpy", dt)
+    observe_codegen_compile("numpy", dt)
     return EmittedKernel(
         backend="numpy",
         effective_backend="numpy",
@@ -228,18 +279,20 @@ def _numpy_emit(m: int, n: int, variant: str, batched: bool) -> EmittedKernel:
         n=n,
         variant=variant,
         batched=batched,
-        source=gen.source,
-        ax_m=gen.ax_m,
-        ax_m1=gen.ax_m1,
-        flops_scalar=gen.flops_scalar,
-        flops_vector=gen.flops_vector,
-        compile_seconds=dt if fresh else 0.0,
+        source=source,
+        ax_m=namespace["ax_m"],
+        ax_m1=namespace["ax_m1"],
+        flops_scalar=terms.flops_scalar,
+        flops_vector=terms.flops_vector,
+        compile_seconds=dt,
     )
 
 
 @register_emitter("numpy")
 class NumpyEmitter(Emitter):
-    """The historical ``exec`` path: CPython-compiled unrolled kernels."""
+    """The historical ``exec`` path: CPython-compiled unrolled kernels
+    (``batched=False``: the per-tensor pair of ``get_kernels``;
+    ``batched=True``: the broadcasting suite of the kernel plans)."""
 
     variants = _CODEGEN_VARIANTS
     executable = True
@@ -276,95 +329,27 @@ def generate_flat_source(m: int, n: int, cse: bool = False) -> tuple[str, int, i
     ``out (L, n)``.  Per-lane inputs live in locals (registers, once
     JIT-compiled) exactly as the paper keeps per-thread vectors in
     registers; the loop is what Numba turns into native straight-line
-    code.  Returns ``(source, flops_scalar, flops_vector)`` — per-lane
-    counts, identical to the non-batched unrolled generator's.
+    code.  Returns ``(source, flops_scalar, flops_vector)`` — the term
+    list's per-lane counts, as every emitter reports them.
     """
-    tab = kernel_tables(m, n)
-    U = tab.num_unique
-
-    xvar = lambda i: f"x{i}"  # noqa: E731
-    x_prelude = [f"        x{i} = x[l, {i}]" for i in range(n)]
-
-    power_vars: dict[tuple[int, int], str] | None = None
-    cse_lines: list[str] = []
-    cse_flops = 0
-    if cse:
-        power_vars = {}
-        max_exp = [0] * n
-        for u in range(U):
-            for i in range(n):
-                max_exp[i] = max(max_exp[i], int(tab.monomial[u, i]))
-        for i in range(n):
-            prev = xvar(i)
-            for e in range(2, max_exp[i] + 1):
-                name = f"x{i}_{e}"
-                cse_lines.append(f"        {name} = {prev}*{xvar(i)}")
-                power_vars[(i, e)] = name
-                prev = name
-                cse_flops += 1
-
-    avar = lambda u: f"a[l, {u}]"  # noqa: E731
-
-    sflops: list[int] = []
-    terms = []
-    for u in range(U):
-        factors = [int(v) for v in tab.index[u]]
-        mono = _monomial_expr(factors, xvar, power_vars, sflops)
-        c = int(tab.mult[u])
-        if c == 1:
-            terms.append(f"{avar(u)}*{mono}")
-            sflops.append(1)
-        else:
-            terms.append(f"{float(c)}*{avar(u)}*{mono}")
-            sflops.append(2)
-    flops_scalar = sum(sflops) + (U - 1) + cse_flops
-
-    vflops: list[int] = []
-    out_terms: list[list[str]] = []
-    for i in range(n):
-        lo, hi = int(tab.out_starts[i]), int(tab.out_starts[i + 1])
-        entry_terms = []
-        for r in range(lo, hi):
-            factors = [int(v) for v in tab.row_factors[r]]
-            mono = _monomial_expr(factors, xvar, power_vars, vflops)
-            c = int(tab.row_sigma[r])
-            u = int(tab.row_class[r])
-            if c == 1:
-                entry_terms.append(f"{avar(u)}*{mono}")
-                vflops.append(1)
-            else:
-                entry_terms.append(f"{float(c)}*{avar(u)}*{mono}")
-                vflops.append(2)
-        vflops.append(len(entry_terms) - 1)
-        out_terms.append(entry_terms)
-    flops_vector = sum(vflops) + cse_flops
-
-    def accumulate(var: str, term_list: list[str]) -> list[str]:
-        out = [f"        {var} = {term_list[0]}"]
-        out.extend(f"        {var} += {t}" for t in term_list[1:])
-        return out
-
-    lines = [
+    terms = unrolled_terms(m, n, cse, "a[l, {}]")
+    scalar, vector = _python_bodies(terms, n, "x[l, {}]", "        ")
+    source = "\n".join([
         f'"""Auto-generated flat-batch unrolled kernels for m={m}, n={n} '
         f'(cse={cse}).  Layout: a (L, U), x (L, n); one lane per row."""',
         "",
         "def ax_m_flat(a, x, out):",
         "    for l in range(x.shape[0]):",
-        *x_prelude,
-        *cse_lines,
-        *accumulate("acc", terms),
+        *scalar,
         "        out[l] = acc",
         "",
         "def ax_m1_flat(a, x, out):",
         "    for l in range(x.shape[0]):",
-        *x_prelude,
-        *cse_lines,
-    ]
-    for i, entry_terms in enumerate(out_terms):
-        lines.extend(accumulate(f"y{i}", entry_terms))
-    lines.extend(f"        out[l, {i}] = y{i}" for i in range(n))
-    lines.append("")
-    return "\n".join(lines), flops_scalar, flops_vector
+        *vector,
+        *(f"        out[l, {i}] = y{i}" for i in range(n)),
+        "",
+    ])
+    return source, terms.flops_scalar, terms.flops_vector
 
 
 def _flatten_broadcast(values: np.ndarray, x: np.ndarray):
@@ -450,7 +435,7 @@ def _numba_emit(m: int, n: int, variant: str) -> EmittedKernel:
     ax_m1_flat = jit(py_ax_m1)
     # warm both kernels on tiny inputs so compilation cost lands here (and
     # in the persistent numba cache), not in the first solve sweep
-    a = np.zeros((1, kernel_tables(m, n).num_unique))
+    a = np.zeros((1, num_unique_entries(m, n)))
     x = np.zeros((1, n))
     ax_m_flat(a, x, np.zeros(1))
     ax_m1_flat(a, x, np.zeros((1, n)))
@@ -511,17 +496,16 @@ class NumbaEmitter(Emitter):
 @lru_cache(maxsize=None)
 def _cuda_emit(m: int, n: int, variant: str, num_starts: int) -> EmittedKernel:
     from repro.kernels.cudagen import _generate_cuda_kernel
-    from repro.util.combinatorics import num_unique_entries
 
     t0 = time.perf_counter()
     source = _generate_cuda_kernel(m, n, num_starts, variant)
     dt = time.perf_counter() - t0
     flops_scalar = flops_vector = 0
     if num_unique_entries(m, n) <= MAX_UNROLLED_ENTRIES:
-        # static per-thread flop counts from the unrolled generator (the
-        # GPU perf model charges the same arithmetic)
-        gen = _make_unrolled(m, n, cse=False, batched=False)
-        flops_scalar, flops_vector = gen.flops_scalar, gen.flops_vector
+        # static per-thread flop counts of the unrolled terms (the GPU
+        # perf model charges the same arithmetic to both variants)
+        terms = unrolled_terms(m, n)
+        flops_scalar, flops_vector = terms.flops_scalar, terms.flops_vector
     return EmittedKernel(
         backend="cuda-src",
         effective_backend="cuda-src",

@@ -20,48 +20,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.kernels.tables import kernel_tables
-from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES
+from repro.kernels.unrolled import unrolled_terms
 from repro.util.combinatorics import num_unique_entries
 
 # the per-variant kernel generator is private: use the ``cuda-src``
 # emitter of :mod:`repro.kernels.codegen`
 __all__ = ["generate_host_launcher", "generate_cuda_module"]
-
-
-def _c_monomial(factors, prefix: str = "x") -> str:
-    """C expression for ``prod_i x{factors[i]}``."""
-    if len(factors) == 0:
-        return "1.0f"
-    return "*".join(f"{prefix}{i}" for i in factors)
-
-
-def _unrolled_scalar_expr(m: int, n: int, avar: str = "a") -> str:
-    """Unrolled C expression for ``A x^m`` (the Figure 2 sum, folded)."""
-    tab = kernel_tables(m, n)
-    terms = []
-    for u in range(tab.num_unique):
-        mono = _c_monomial([int(v) for v in tab.index[u]])
-        c = int(tab.mult[u])
-        coeff = "" if c == 1 else f"{float(c)}f*"
-        terms.append(f"{coeff}{avar}[{u}]*{mono}")
-    return ("\n            + ").join(terms)
-
-
-def _unrolled_vector_exprs(m: int, n: int, avar: str = "a") -> list[str]:
-    """Unrolled C expressions for each entry of ``A x^{m-1}`` (Figure 3)."""
-    tab = kernel_tables(m, n)
-    out = []
-    for i in range(n):
-        lo, hi = int(tab.out_starts[i]), int(tab.out_starts[i + 1])
-        terms = []
-        for r in range(lo, hi):
-            mono = _c_monomial([int(v) for v in tab.row_factors[r]])
-            c = int(tab.row_sigma[r])
-            u = int(tab.row_class[r])
-            coeff = "" if c == 1 else f"{float(c)}f*"
-            terms.append(f"{coeff}{avar}[{u}]*{mono}")
-        out.append(("\n            + ").join(terms))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -79,8 +43,6 @@ def _generate_cuda_kernel(
     U = num_unique_entries(m, n)
     if variant not in ("unrolled", "general"):
         raise ValueError(f"variant must be 'unrolled' or 'general', got {variant!r}")
-    if variant == "unrolled" and U > MAX_UNROLLED_ENTRIES:
-        raise ValueError(f"refusing to unroll U={U} terms; use variant='general'")
 
     header = f"""\
 // Auto-generated SS-HOPM kernel ({variant}), m={m}, n={n}, V={num_starts}.
@@ -97,10 +59,14 @@ def _generate_cuda_kernel(
     xdecl = " ".join(f"float x{i} = starts[threadIdx.x * N + {i}];" for i in range(n))
 
     if variant == "unrolled":
-        lam_expr = _unrolled_scalar_expr(m, n)
-        y_exprs = _unrolled_vector_exprs(m, n)
+        # the Figures 2-3 sums in single precision (the unroll guard
+        # refuses large shapes here)
+        terms = unrolled_terms(m, n, suffix="f")
+        plus = "\n            + "
+        lam_expr = plus.join(terms.ax_m)
         y_lines = "\n".join(
-            f"        float y{i} = (\n            {expr});" for i, expr in enumerate(y_exprs)
+            f"        float y{i} = (\n            {plus.join(entry)});"
+            for i, entry in enumerate(terms.ax_m1)
         )
         shift_lines = "\n".join(f"        y{i} += alpha * x{i};" for i in range(n))
         norm_expr = " + ".join(f"y{i}*y{i}" for i in range(n))
@@ -127,7 +93,7 @@ void sshopm_unrolled(const float* __restrict__ tensors,
 
     {xdecl}
     float lam = (
-        {_unrolled_scalar_expr(m, n)});
+        {lam_expr});
 
     for (int k = 0; k < max_iter; ++k) {{
 {y_lines}

@@ -45,12 +45,12 @@ from typing import Callable
 import numpy as np
 
 from repro.kernels.batched import ax_m1_batched, ax_m_batched
+from repro.kernels.codegen import emit
 from repro.kernels.errors import KernelLookupError, UnknownVariantError
 from repro.kernels.compressed import ax_m1_compressed, ax_m_compressed
 from repro.kernels.precomputed import ax_m1_precomputed, ax_m_precomputed
 from repro.kernels.reference import ax_m1_reference, ax_m_reference
 from repro.kernels.tables import kernel_tables
-from repro.kernels.unrolled import _make_unrolled
 from repro.symtensor.storage import SymmetricTensor
 
 __all__ = [
@@ -91,9 +91,9 @@ class BatchedKernelPair:
     ax_m1: Callable[..., np.ndarray]
 
 
-def _unrolled_pair(name: str, cse: bool) -> Callable[[int, int], KernelPair]:
+def _unrolled_pair(name: str) -> Callable[[int, int], KernelPair]:
     def build(m: int, n: int) -> KernelPair:
-        kernels = _make_unrolled(m, n, cse=cse, batched=False)
+        kernels = emit(m, n, name, target="numpy")  # the scalar form
         return KernelPair(
             name,
             lambda tensor, x: float(kernels.ax_m(tensor.values, np.asarray(x))),
@@ -130,8 +130,8 @@ _STATIC_VARIANTS: dict[str, KernelPair] = {
 }
 
 _SPECIALIZED_BUILDERS: dict[str, Callable[[int, int], KernelPair]] = {
-    "unrolled": _unrolled_pair("unrolled", cse=False),
-    "unrolled_cse": _unrolled_pair("unrolled_cse", cse=True),
+    "unrolled": _unrolled_pair("unrolled"),
+    "unrolled_cse": _unrolled_pair("unrolled_cse"),
     "vectorized": _vectorized_pair,
     "blocked": _blocked_pair,
 }

@@ -25,39 +25,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SolveConfig
-from repro.core.eigenpairs import hessian_matrix
+from repro.core.eigenpairs import projected_hessian_eigenvalues
 from repro.instrument import span as _span
 from repro.kernels.dispatch import KernelPair
 from repro.solvers.scaffold import prepare, start_vector
 from repro.solvers.sshopm import SSHOPMResult, _shifted_power_loop
 from repro.symtensor.storage import SymmetricTensor
 
-__all__ = ["geap", "projected_shift", "tangent_hessian_eigenvalues"]
-
-
-def tangent_hessian_eigenvalues(tensor: SymmetricTensor, x: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``C(x) = (m-1) A x^{m-2}`` restricted to
-    the tangent space of the unit sphere at ``x``.
-
-    The ``n = 1`` sphere has an empty tangent space; returns an empty
-    array there (any shift works).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if tensor.n == 1:
-        return np.empty(0)
-    H = hessian_matrix(tensor, x)
-    # orthonormal tangent basis: left singular vectors of x beyond the first
-    u, _, _ = np.linalg.svd(x.reshape(-1, 1), full_matrices=True)
-    tangent = u[:, 1:]
-    restricted = tangent.T @ H @ tangent
-    restricted = 0.5 * (restricted + restricted.T)
-    return np.linalg.eigvalsh(restricted)
+__all__ = ["geap", "projected_shift"]
 
 
 def projected_shift(tensor: SymmetricTensor, x: np.ndarray, tau: float,
                     mode: str = "max") -> float:
-    """The GEAP shift at iterate ``x`` (see the module docstring)."""
-    evals = tangent_hessian_eigenvalues(tensor, x)
+    """The GEAP shift at iterate ``x`` (see the module docstring); NaN
+    when the tangent Hessian is not finite.
+
+    The tangent eigenvalues are those of the projected Hessian with
+    ``lambda = 0``; the ``n = 1`` sphere has an empty tangent space, where
+    any shift works (0).
+    """
+    evals = projected_hessian_eigenvalues(tensor, 0.0, x)
     if evals.size == 0:
         return 0.0
     if not np.all(np.isfinite(evals)):

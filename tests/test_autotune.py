@@ -1,16 +1,14 @@
 """Tests for empirical kernel selection."""
 
-from importlib import import_module
-
 import numpy as np
 import pytest
 
+import repro.kernels.autotune as race
 from repro.kernels.autotune import auto_kernels, autotune
 from repro.kernels.compressed import ax_m1_compressed, ax_m_compressed
 from repro.kernels.dispatch import get_kernels
 from repro.symtensor.random import random_symmetric_tensor
 
-race = import_module("repro.kernels.autotune")  # the module, not the function
 VARIANTS = ["blocked", "unrolled", "unrolled_cse", "vectorized"]
 
 
@@ -151,9 +149,8 @@ class TestPlanRace:
 
         # and a real new process, whose race would fail, reads it too
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        script = ("import importlib; "
-                  "importlib.import_module('repro.kernels.autotune')"
-                  "._run_race = None; "
+        script = ("import repro.kernels.autotune as race; "
+                  "race._run_race = None; "
                   "from repro.kernels.plan import get_plan; "
                   "print(get_plan(3, 3, 'auto').variant)")
         proc = subprocess.run(

@@ -2,6 +2,8 @@
 lookup and aliases, the three first-class backends, graceful numba
 degradation, and the flat-batch source generator."""
 
+import builtins
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,23 @@ from repro.kernels.codegen import (
 from repro.kernels.dispatch import UnknownVariantError
 from repro.kernels.errors import UnknownBackendError
 from repro.kernels.reference import ax_m1_dense, ax_m_dense
+from repro.kernels.tables import kernel_tables
 from repro.symtensor.random import random_symmetric_tensor
+
+
+@pytest.fixture
+def generated_compiles(monkeypatch):
+    """Filenames of generated (``<...>``) sources compiled from here on."""
+    real = builtins.compile
+    names = []
+
+    def counting(source, filename, *args, **kwargs):
+        if str(filename).startswith("<"):
+            names.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return names
 
 
 class TestRegistry:
@@ -91,6 +109,39 @@ class TestNumpyEmitter:
     def test_emit_is_cached(self):
         assert emit(3, 3, "unrolled") is emit(3, 3, "unrolled")
 
+    def test_guard_raises_before_any_table(self):
+        """C(19,10) = 92,378 unique entries: refused from the count alone,
+        without building (or even looking up) ``kernel_tables(10, 10)``."""
+        before = kernel_tables.cache_info()
+        with pytest.raises(ValueError, match="refusing to unroll"):
+            emit(10, 10, "unrolled", target="numpy")
+        assert kernel_tables.cache_info() == before
+
+    def test_per_tensor_and_plan_kernels_share_one_cache(self, monkeypatch,
+                                                         rng):
+        """``get_kernels("unrolled")`` (scalar) and the plan's unrolled
+        suite (batched) are the two ``EmittedKernel`` s of one cache."""
+        from repro.kernels.dispatch import get_kernels
+        from repro.kernels.plan import clear_plan_cache, get_plan
+
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")  # build, not disk
+        clear_plan_cache()
+        codegen._numpy_emit.cache_clear()
+        pair = get_kernels("unrolled", 3, 5)
+        plan = get_plan(3, 5, "unrolled")
+        info = codegen._numpy_emit.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        scalar = emit(3, 5, "unrolled", target="numpy")
+        batched = emit(3, 5, "unrolled", target="numpy", batched=True)
+        assert codegen._numpy_emit.cache_info().misses == 2
+        assert (scalar.batched, batched.batched) == (False, True)
+        tensor = random_symmetric_tensor(3, 5, rng=rng)
+        x = rng.standard_normal(5)
+        np.testing.assert_array_equal(pair.ax_m1(tensor, x),
+                                      scalar.ax_m1(tensor.values, x))
+        np.testing.assert_array_equal(plan.ax_m1(tensor.values, x),
+                                      batched.ax_m1(tensor.values, x))
+
 
 class TestNumbaEmitter:
     def test_always_batched(self):
@@ -133,6 +184,14 @@ class TestCudaSourceEmitter:
         ref = emit(4, 3, "unrolled", target="numpy")
         assert cuda.flops_scalar == ref.flops_scalar
         assert cuda.flops_vector == ref.flops_vector
+
+    def test_compiles_no_python_kernel(self, generated_compiles):
+        """Both variants read their flop counts off the term list; no
+        Python kernel is generated and compiled on the side."""
+        for variant in ("unrolled", "general"):
+            kern = emit(3, 7, variant, target="cuda-src", num_starts=96)
+            assert kern.flops_scalar > 0 and kern.flops_vector > 0
+        assert generated_compiles == []
 
 
 class TestFlatSource:

@@ -2,6 +2,7 @@
 loudly (``TypeError`` / ``AttributeError`` / ``ImportError``) instead of
 warning, and the supported spellings stay warning-free."""
 
+import sys
 import warnings
 from importlib import import_module
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro.kernels
+import repro.kernels.autotune
 from repro.core import adaptive_sshopm, sshopm
 from repro.engine import fleet_solve
 from repro.solvers import geap, qrst
@@ -180,7 +182,59 @@ class TestOneNamePerKernelOption:
                                       "BackendTuneReport"])
     def test_backend_race_removed(self, name):
         assert not hasattr(repro.kernels, name)
-        assert not hasattr(import_module("repro.kernels.autotune"), name)
+        assert not hasattr(repro.kernels.autotune, name)
+
+
+class TestOneTermGenerator:
+    """The unrolled kernels are described once
+    (``repro.kernels.unrolled.unrolled_terms``) and compiled only by the
+    codegen emitters; the per-renderer copies, the second result type and
+    the geap copy of the tangent eigenvalues are gone."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.kernels", "UnrolledKernels"),
+        ("repro.kernels.unrolled", "UnrolledKernels"),
+        ("repro.kernels.unrolled", "_make_unrolled"),
+        ("repro.kernels.unrolled", "_generate_source"),
+        ("repro.kernels.unrolled", "_monomial_expr"),
+        ("repro.kernels.cudagen", "_c_monomial"),
+        ("repro.kernels.cudagen", "_unrolled_scalar_expr"),
+        ("repro.kernels.cudagen", "_unrolled_vector_exprs"),
+        ("repro.solvers.geap", "tangent_hessian_eigenvalues"),
+    ])
+    def test_name_removed(self, module, name):
+        assert not hasattr(import_module(module), name)
+
+    def test_emitted_kernel_replaces_unrolled_kernels(self):
+        from repro.kernels.codegen import EmittedKernel, emit
+
+        kern = emit(3, 3, "unrolled_cse", target="numpy")
+        assert isinstance(kern, EmittedKernel)
+        assert kern.variant == "unrolled_cse" and not kern.batched
+
+    def test_projected_eigenvalues_give_the_geap_shift(self, tensor):
+        from repro.core import projected_hessian_eigenvalues
+        from repro.solvers import projected_shift
+
+        x = np.array([0.6, 0.0, 0.8])
+        evals = projected_hessian_eigenvalues(tensor, 0.0, x)
+        assert projected_shift(tensor, x, 1e-6) == max(0.0, 1e-6 - evals[0])
+
+
+class TestAutotuneModule:
+    """``repro.kernels.autotune`` names the module: the package no longer
+    re-exports the function ``autotune`` under the module's name."""
+
+    def test_module_reachable_by_attribute(self):
+        import repro.kernels.autotune as race
+
+        assert race is sys.modules["repro.kernels.autotune"]
+        assert callable(race.plan_race) and callable(race.autotune)
+
+    def test_package_keeps_the_other_names(self):
+        assert "autotune" not in repro.kernels.__all__
+        assert repro.kernels.auto_kernels is repro.kernels.autotune.auto_kernels
+        assert repro.kernels.TuneReport is repro.kernels.autotune.TuneReport
 
 
 class TestCoreSolverShims:

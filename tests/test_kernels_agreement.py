@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.batched import ax_m1_batched, ax_m_batched
+from repro.kernels.codegen import emit
 from repro.kernels.compressed import ax_m1_compressed, ax_m_compressed
 from repro.kernels.dispatch import available_variants, get_kernels
 from repro.kernels.precomputed import ax_m1_precomputed, ax_m_precomputed
 from repro.kernels.reference import ax_m1_dense, ax_m_dense
-from repro.kernels.unrolled import _make_unrolled as make_unrolled
 from repro.symtensor.random import random_symmetric_tensor
 from repro.util.rng import random_unit_vector
 
@@ -40,7 +40,7 @@ class TestVariantAgreement:
         assert ax_m_compressed(tensor, x) == 0.0
         assert np.allclose(ax_m1_compressed(tensor, x), 0.0)
         # the unrolled kernel divides nothing (builds products directly)
-        gen = make_unrolled(m, n)
+        gen = emit(m, n, "unrolled", target="numpy")
         assert gen.ax_m(tensor.values, x) == 0.0
         assert np.allclose(gen.ax_m1(tensor.values, x), 0.0)
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.batched import ax_m1_batched, ax_m_batched
+from repro.kernels.codegen import emit
 from repro.kernels.compressed import ax_m1_compressed, ax_m_compressed
 from repro.kernels.reference import ax_m1_dense, ax_m_dense
-from repro.kernels.unrolled import _make_unrolled as make_unrolled
 from repro.symtensor.indexing import (
     index_classes,
     monomial_from_index,
@@ -116,7 +116,7 @@ def test_monomials_sum_to_order(size):
 def test_unrolled_equals_compressed_property(m, n, seed):
     t = random_symmetric_tensor(m, n, rng=seed)
     x = np.random.default_rng(seed).normal(size=n)
-    gen = make_unrolled(m, n)
+    gen = emit(m, n, "unrolled", target="numpy")
     assert np.isclose(gen.ax_m(t.values, x), ax_m_compressed(t, x), rtol=1e-9, atol=1e-9)
     assert np.allclose(gen.ax_m1(t.values, x), ax_m1_compressed(t, x), rtol=1e-9, atol=1e-9)
 

@@ -391,6 +391,48 @@ class TestChaosFaults:
             qrst(A, max_dense=8)
 
 
+class TestNonFiniteTensor:
+    """A tensor holding NaN fails only its own GEAP lanes at every ``n``:
+    ``eigvalsh`` raises on a non-finite matrix of size 3 or more (the
+    tangent restriction from ``n = 4`` on), so the restriction reports
+    NaN eigenvalues instead of calling it."""
+
+    OPTS = dict(num_starts=4, rng=5, adaptive="geap", tol=1e-10,
+                max_iters=300)
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        clean = random_symmetric_batch(4, 4, 5, rng=11)
+        values = clean.values.copy()
+        values[2, 3] = np.nan
+        return (SymmetricTensorBatch(values, 4, 5),
+                SymmetricTensorBatch(np.delete(clean.values, 2, axis=0), 4, 5))
+
+    def test_geap_fleet_fails_only_that_tensor(self, batches):
+        from repro.engine import fleet_solve
+
+        poisoned, clean = batches
+        res = fleet_solve(poisoned, **self.OPTS)
+        ref = fleet_solve(clean, **self.OPTS)
+        assert res.failed[2].all() and not res.converged[2].any()
+        for name in ("eigenvalues", "eigenvectors", "converged",
+                     "iterations", "failed", "shifts"):
+            assert np.array_equal(getattr(res, name)[[0, 1, 3]],
+                                  getattr(ref, name)), name
+        report = repro.solve(poisoned, method="geap", starts=4, rng=5)
+        assert report.result.failed[2].all()
+
+    def test_single_start_and_label(self, batches):
+        from repro.core import classify_eigenpair
+
+        tensor = batches[0][2]
+        res = geap(tensor, rng=1)
+        assert not res.converged
+        x = np.full(5, 1 / np.sqrt(5))
+        assert classify_eigenpair(tensor, 1.0, x) == "unstable"
+        assert np.isnan(projected_shift(tensor, x, 1e-6))
+
+
 class TestCancellation:
     def test_geap_stop_hook(self):
         A = random_symmetric_tensor(3, 4, rng=8)
