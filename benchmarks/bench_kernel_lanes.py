@@ -13,8 +13,13 @@ of the per-call samples, the row program's time over the gather order's
 and the order the kernel runs at that lane count.  Small lane counts (a
 serve request, a lane tail after compaction) measure fixed cost per
 call; 2,048 lanes and up (a whole-workload fleet) measure cost per lane.
-The crossover constant is read off this table.  It records numbers and
-asserts nothing about speed.
+The crossover constant is read off this table.  Besides powers of two it
+times 1,023 and 4,095 lanes: a compacted fleet's lane count is rarely a
+multiple of 8, and then the lane rows the row program reads in place
+start off the cache-line alignment it keeps for its own scratch rows, so
+the table shows whether the order the kernel picks just above the
+crossover is still the faster one there.  It records numbers and asserts
+nothing about speed.
 
 Run with ``make kernel-bench``; writes ``results/kernel_lanes.txt``.
 """
@@ -29,7 +34,7 @@ from repro.kernels.batched import _ROW_CROSSOVER, _gather_blocks, _row_program
 from repro.kernels.tables import kernel_tables
 
 SHAPES = [(3, 3), (4, 3), (4, 4), (5, 4), (6, 3), (3, 6), (4, 6), (4, 8)]
-LANES = [1, 8, 128, 512, 1024, 2048, 4096, 16384, 65536]
+LANES = [1, 8, 128, 512, 1023, 1024, 2048, 4095, 4096, 16384, 65536]
 SAMPLES = 15  # timed samples per (shape, lanes, order)
 SAMPLE_SECONDS = 0.01  # each sample repeats the call for at least this long
 

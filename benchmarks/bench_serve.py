@@ -29,6 +29,14 @@ chunks (8 chunks of 8 tensors; a 16 is two jobs' chunks merged into
 one fleet).  Both replies must equal the direct runs bit for bit.  A
 timing floor would fail on a loaded 2-core host the way the process
 fleet's ratio floor does, so the row only records.
+
+The last two rows record the fleet engine's cost per sweep at serve
+sizes, where a sweep's cost is set by its array calls and not by its
+lanes: the mean seconds per sweep of one fleet (median over
+``SWEEP_REPS`` fleets) for one serve chunk (8 (4,4) tensors x 16 starts,
+alpha = 0, 200 sweeps, the thread-tier call a job chunk makes) and for
+one merged round (two such chunks with their own starts through the
+chunk batcher's merged solve, whose stop hook never fires).
 """
 
 import json
@@ -167,6 +175,46 @@ def _bench_merging(tmp_dir, monkeypatch):
     return back_to_back, concurrent, sizes
 
 
+#: fleets timed per sweep-cost row
+SWEEP_REPS = 15
+
+
+def _bench_sweep_cost(reps: int = SWEEP_REPS) -> tuple[float, float]:
+    """Median seconds per sweep of ``(one serve chunk, one merged round)``."""
+    import repro.parallel.fleet as pfleet
+    from repro.serve.batcher import _Chunk, _solve_merged
+    from repro.symtensor import random_symmetric_batch
+
+    rng = np.random.default_rng(7)
+    chunks = []
+    for seed in (11, 21):
+        starts = rng.standard_normal((16, 4))
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        # the keywords run_job hands a mergeable chunk's solve
+        chunks.append((random_symmetric_batch(8, 4, 4, rng=seed), dict(
+            executor="thread", workers=1, starts=starts, alpha=0.0,
+            tol=1e-8, max_iters=200, stop=threading.Event().is_set,
+            deadline=None, faults=None, adaptive=False)))
+
+    def chunk() -> tuple[float, int]:
+        t0 = time.perf_counter()
+        res = pfleet.parallel_fleet_solve(chunks[0][0], **chunks[0][1]).result
+        return time.perf_counter() - t0, res.sweeps
+
+    def merged() -> tuple[float, int]:
+        group = [_Chunk(tensors, options) for tensors, options in chunks]
+        t0 = time.perf_counter()
+        assert _solve_merged(group)
+        return time.perf_counter() - t0, group[0].outcome.sweeps
+
+    per_sweep = []
+    for run in (chunk, merged):
+        run()  # warm the (4, 4) plan
+        samples = [run() for _ in range(reps)]
+        per_sweep.append(statistics.median(s / sweeps for s, sweeps in samples))
+    return tuple(per_sweep)
+
+
 def _bench_idle_drain(tmp_dir) -> float:
     srv = EigenServer(ServeConfig(port=0, runners=2,
                                   checkpoint_dir=tmp_dir))
@@ -210,6 +258,8 @@ def test_serve_control_plane_budgets(tmp_path, monkeypatch):
     overhead = max(served - direct, 0.0)
     drain = _bench_idle_drain(tmp_path / "b")
     ready, sigterm_exit = _bench_restart(tmp_path / "d")
+    # before the merging row, which counts fleet runs until the test ends
+    chunk_sweep, merged_sweep = _bench_sweep_cost()
     back_to_back, concurrent, sizes = _bench_merging(tmp_path / "c",
                                                      monkeypatch)
 
@@ -230,6 +280,10 @@ def test_serve_control_plane_budgets(tmp_path, monkeypatch):
          "record only"],
         ["served fleet runs (tensors)",
          f"{len(sizes)}: {'/'.join(map(str, sizes))}", "record only"],
+        ["serve chunk, per sweep", f"{chunk_sweep * 1e6:8.1f} us",
+         "record only"],
+        ["merged round, per sweep", f"{merged_sweep * 1e6:8.1f} us",
+         "record only"],
     ]
     report("serve_overhead",
            format_table("repro serve control-plane budgets",

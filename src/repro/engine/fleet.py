@@ -21,6 +21,7 @@ Lane ``l`` maps to pair ``(t, v) = divmod(l, V)``; results come back as
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -378,19 +379,25 @@ def fleet_solve(
     compactions = 0
     was_stopped = False
     stopped_tensors = None  # (T,) once a stop returns a per-tensor mask
+    n_live = L  # live lanes; the working arrays may also hold retired rows
 
-    def write_back(sel: np.ndarray, lam_of: np.ndarray, converged: bool,
-                   failed: bool) -> None:
+    def write_back(sel: np.ndarray, lam_of: np.ndarray, x_of: np.ndarray,
+                   converged: bool = False, failed: bool = False) -> None:
         # every live lane iterates every sweep, so a retiring lane has done
-        # exactly `sweeps` iterations; one integer index serves every gather
+        # exactly `sweeps` iterations; one integer index serves every gather.
+        # A lane retires once, so its `converged`/`failed` flags and (under a
+        # uniform shift) its shift still hold their initial values
         pos = np.flatnonzero(sel)
         gids = idx[pos]
         out_lam[gids] = lam_of[pos]
-        out_x[gids] = x[pos]
-        out_conv[gids] = converged
-        out_failed[gids] = failed
+        out_x[gids] = x_of[pos]
+        if converged:
+            out_conv[gids] = True
+        if failed:
+            out_failed[gids] = True
         out_iters[gids] = sweeps
-        out_alpha[gids] = alpha_lane[pos]
+        if not uniform_shift:
+            out_alpha[gids] = alpha_lane[pos]
 
     t0 = time.perf_counter()
     with _span("fleet_solve"), np.errstate(invalid="ignore", over="ignore",
@@ -400,10 +407,11 @@ def fleet_solve(
         y = np.asarray(plan.ax_m1(lane_vals, x, counter=counter))
         lam = np.einsum("ij,ij->i", x, y, dtype=np.float64)
         for _ in range(max_iters):
-            if not live.any():
+            if not n_live:
                 break
             halt = stop() if stop is not None else False
-            if np.ndim(halt):
+            # `np.ndim(False)` builds an array: test the common answer first
+            if halt is not False and np.ndim(halt):
                 # per-tensor cancellation (one job of a merged run): retire
                 # the marked tensors' live lanes now, as a whole-run stop
                 # would, and let every other lane run on
@@ -412,21 +420,23 @@ def fleet_solve(
                     raise ValueError(f"a stop mask must have shape ({T},), "
                                      f"got {halt.shape}")
                 hit = live & halt[tensor_of]
-                if hit.any():
-                    write_back(hit, lam, converged=False, failed=False)
-                    live &= ~hit
+                n_hit = int(np.count_nonzero(hit))
+                if n_hit:
+                    write_back(hit, lam, x)
+                    live ^= hit
+                    n_live -= n_hit
                     if stopped_tensors is None:
                         stopped_tensors = np.zeros(T, dtype=bool)
                     stopped_tensors[tensor_of[hit]] = True
-                    _emit("stop", active=int(hit.sum()), sweep=sweeps)
-                    if not live.any():
+                    _emit("stop", active=n_hit, sweep=sweeps)
+                    if not n_live:
                         break
             elif halt:
                 # cancelled (deadline / budget / drain): retire the
                 # still-active lanes through the normal write-back path
                 # below, exactly like running out of iterations
                 was_stopped = True
-                _emit("stop", active=int(live.sum()), sweep=sweeps)
+                _emit("stop", active=n_live, sweep=sweeps)
                 break
             sweeps += 1
             with _span("sweep"):
@@ -461,29 +471,43 @@ def fleet_solve(
                 for j in range(1, n):
                     norms += np.square(x_new[:, j])
                 np.sqrt(norms, out=norms)
-                dead = live & ~((norms > 0) & (norms < np.inf))
-                if dead.any():
-                    # retire with the pre-update (last finite) state
-                    write_back(dead, lam, converged=False, failed=True)
-                if tel is not None:
-                    x_prev = x
-                # unguarded: only lanes retired by now (this sweep or
-                # earlier) can have a zero or non-finite norm, and no result
-                # of their NaN/Inf rows is used before compaction drops them
+                # unguarded: a lane whose norm is zero or not finite retires
+                # below with its pre-update state (`x_prev`, `lam_prev`), and
+                # no result of its NaN/Inf row is used before compaction
+                # drops it
+                x_prev = x
                 x_new /= norms[:, None]
                 x = x_new
                 y = np.asarray(plan.ax_m1(lane_vals, x, counter=counter))
                 lam_prev = lam
                 lam = np.einsum("ij,ij->i", x, y, dtype=np.float64)
                 counter.add_flops(2 * x.shape[0] * n)
-                upd = live & ~dead
-                bad_lam = upd & ~np.isfinite(lam)
-                if bad_lam.any():
-                    write_back(bad_lam, lam_prev, converged=False, failed=True)
-                    dead |= bad_lam
+                # lane deaths are rare, so one sum each tests for them and
+                # the masks are built only in a sweep where a test fired.
+                # The norms' sum is not finite when a norm is infinite or
+                # NaN; a zero norm makes the lane's row 0/0 or u/0, so its
+                # new lambda is not finite; a sum that overflows only sends
+                # the sweep down the exact path.  In a sweep where neither
+                # fires, the updated lanes `upd` are the `live` mask itself
+                upd, n_failed = live, 0
+                if not (math.isfinite(np.add.reduce(norms))
+                        and math.isfinite(np.add.reduce(lam))):
+                    dead = live & ~((norms > 0) & (norms < np.inf))
+                    upd = live & ~dead
+                    bad_lam = upd & ~np.isfinite(lam)
                     upd &= ~bad_lam
+                    failed = dead | bad_lam
+                    n_failed = int(np.count_nonzero(failed))
+                    if n_failed:
+                        # retire with the last finite state: a dead lane's
+                        # pre-update iterate and lambda, a bad lambda's
+                        # previous lambda
+                        write_back(dead, lam_prev, x_prev, failed=True)
+                        write_back(bad_lam, lam_prev, x, failed=True)
                 delta = lam - lam_prev
-                just_conv = upd & (np.abs(delta) < tol)
+                just_conv = np.abs(delta) < tol
+                if n_failed or n_live < len(live):  # retired rows ride along
+                    just_conv &= upd
 
                 if osc_adaptive:
                     flip = upd & (delta * prev_delta < 0) & (np.abs(delta) >= tol)
@@ -511,15 +535,16 @@ def fleet_solve(
                         active=int(upd.sum()),
                     )
 
-                if just_conv.any():
-                    write_back(just_conv, lam, converged=True, failed=False)
-                retired = just_conv | dead
-                if retired.any():
-                    guard.retire(sweeps, int(just_conv.sum()), int(dead.sum()))
-                    live &= ~retired
-                    _emit("retire", converged=int(just_conv.sum()),
-                          failed=int(dead.sum()), active=int(live.sum()),
-                          sweep=sweeps)
+                n_conv = int(np.count_nonzero(just_conv))
+                if n_conv:
+                    write_back(just_conv, lam, x, converged=True)
+                if n_conv or n_failed:
+                    guard.retire(sweeps, n_conv, n_failed)
+                    # both masks hold only live lanes: xor clears them
+                    live ^= (just_conv | failed) if n_failed else just_conv
+                    n_live -= n_conv + n_failed
+                    _emit("retire", converged=n_conv, failed=n_failed,
+                          active=n_live, sweep=sweeps)
                     try:
                         guard.check_collapse(
                             sweeps, telemetry=tel,
@@ -528,7 +553,7 @@ def fleet_solve(
                         _emit("guard_trip", reason="collapse", sweep=sweeps)
                         raise
 
-                if sweeps % compact_every == 0 and not live.all():
+                if sweeps % compact_every == 0 and n_live < len(live):
                     with _span("compact"):
                         keep = np.flatnonzero(live)
                         idx = idx[keep]
@@ -548,8 +573,8 @@ def fleet_solve(
                           sweep=sweeps)
 
         # lanes that ran out of iterations: record their current state
-        if live.any():
-            write_back(live, lam, converged=False, failed=False)
+        if n_live:
+            write_back(live, lam, x)
 
         with _span("residuals"):
             full_vals = _lane_values(values, np.arange(L) // V)
@@ -567,7 +592,7 @@ def fleet_solve(
             sweeps, float(np.nanmean(out_lam)) if L else float("nan"),
             residual=float(finite.max()) if finite.size else float("nan"),
             shift=float(out_alpha.mean()) if L else alpha,
-            active=int(live.sum()),
+            active=n_live,
             force=True,
         )
         if recorder is not None:

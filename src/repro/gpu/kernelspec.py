@@ -16,8 +16,10 @@ and dimension 5" caused by shrinking occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.kernels.codegen import emit
+from repro.kernels.compressed import symmetric_flops_scalar, symmetric_flops_vector
+from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES, unrolled_terms
 from repro.util.combinatorics import num_unique_entries
 
 __all__ = ["KernelLaunch", "sshopm_launch", "FLOAT_BYTES"]
@@ -54,11 +56,16 @@ class KernelLaunch:
         return self.threads_per_block / 32.0
 
 
-def _iteration_flops(m: int, n: int) -> tuple[int, int]:
-    """(scalar kernel flops, vector kernel flops) per thread-iteration from
-    the unrolled code generator's static counts."""
-    gen = emit(m, n, "unrolled", target="numpy")
-    return gen.flops_scalar, gen.flops_vector
+@lru_cache(maxsize=None)
+def _iteration_flops(m: int, n: int, variant: str) -> tuple[int, int]:
+    """(scalar kernel flops, vector kernel flops) per thread-iteration: the
+    static counts of the unrolled term list (nothing is compiled), or, for
+    the general variant past the unroll guard, the counted flops of the
+    Figure 2-3 kernels, which need no unrolling."""
+    if variant == "general" and num_unique_entries(m, n) > MAX_UNROLLED_ENTRIES:
+        return symmetric_flops_scalar(m, n), symmetric_flops_vector(m, n)
+    terms = unrolled_terms(m, n)
+    return terms.flops_scalar, terms.flops_vector
 
 
 def sshopm_launch(
@@ -86,15 +93,24 @@ def sshopm_launch(
     -----
     Per-thread work per iteration is ``flops_vector + flops_scalar`` (the
     two kernels of Figure 1) plus ``3n + 4`` for the shift, normalization,
-    and convergence test.
+    and convergence test.  Both variants take the kernel flops from the
+    unrolled term list (:func:`repro.kernels.unrolled.unrolled_terms`), so
+    they model the same arithmetic.  Past the unroll guard
+    (:data:`~repro.kernels.unrolled.MAX_UNROLLED_ENTRIES` unique entries)
+    ``"unrolled"`` raises the guard's ``ValueError``, and ``"general"``
+    takes the counted flops of the compressed Figure 2-3 kernels instead
+    (:func:`~repro.kernels.compressed.symmetric_flops_scalar` and
+    :func:`~repro.kernels.compressed.symmetric_flops_vector`).
 
     Register model (unrolled): 8 bookkeeping + ``2n`` vector entries +
     ``~U/4`` live monomial subexpressions.  Shared memory: the block's
     tensor (``U`` floats) for both variants, plus the index (``m`` ints) and
     multiplicity (1 int) tables per unique entry for the general variant.
     """
+    if variant not in ("unrolled", "general"):
+        raise ValueError(f"unknown kernel variant {variant!r}")
     U = num_unique_entries(m, n)
-    fs, fv = _iteration_flops(m, n)
+    fs, fv = _iteration_flops(m, n, variant)
     flops_iter = fs + fv + 3 * n + 4
 
     if variant == "unrolled":
@@ -103,12 +119,10 @@ def sshopm_launch(
         # straight-line arithmetic with occasional shared-memory loads of
         # tensor values: ~1 load per unique entry per kernel
         instr_iter = flops_iter + 2 * U
-    elif variant == "general":
+    else:
         regs = 20 + m + n
         smem = U * FLOAT_BYTES + (m + 1) * U * FLOAT_BYTES
         instr_iter = flops_iter * general_instr_overhead
-    else:
-        raise ValueError(f"unknown kernel variant {variant!r}")
 
     return KernelLaunch(
         name=f"sshopm-{variant}-m{m}n{n}",

@@ -75,7 +75,10 @@ def ax_m1_batched(
 ) -> np.ndarray:
     """Batched ``A x^{m-1}``.
 
-    Returns an array shaped ``broadcast(leading dims) + (n,)``.
+    Returns an array shaped ``broadcast(leading dims) + (n,)``.  The
+    fleet engine's call, ``tables`` given and one ``(lanes, U)`` value
+    row per ``(lanes, n)`` vector, skips shape inference and
+    broadcasting.
 
     Implementation: the Figure-3 double loop is flattened into the
     precomputed row expansion (one row per (class, distinct index) pair,
@@ -91,7 +94,8 @@ def ax_m1_batched(
       block's ``(m-1, K, B)`` factors and ``(n, K, B)`` value rows, form
       the ``K`` products with one ``np.multiply.reduce``, scale the value
       rows by them and by ``sigma``, and segment-reduce with
-      ``np.add.reduceat``;
+      ``np.add.reduceat`` (index arrays, ``sigma`` and block size built
+      once per shape and dtype, :class:`_GatherOrder`);
     * the *row program*, from :data:`_ROW_CROSSOVER` lanes when values
       and ``x`` share a float dtype: the same arithmetic as a
       straight-line list of ufunc calls on contiguous lane rows
@@ -154,23 +158,27 @@ def ax_m1_batched(
     counter = counter or null_counter()
     values = np.asarray(values)
     x = np.asarray(x)
-    tab = _resolve_tables(values, x, tables)
-    lead = x.shape[:-1]
-    if values.shape[:-1] != lead:  # the fleet engine's one row per lane skips this
-        lead = np.broadcast_shapes(values.shape[:-1], lead)
-        values = np.broadcast_to(values, lead + values.shape[-1:])
-        x = np.broadcast_to(x, lead + x.shape[-1:])
-    values = values.reshape(-1, tab.num_unique)
-    x = x.reshape(-1, tab.n)
+    lead = None  # the fleet engine's one row per lane needs no reshaping
+    if not (tables is not None and x.ndim == 2
+            and values.shape == (len(x), tables.num_unique)
+            and x.shape[1] == tables.n):
+        tables = _resolve_tables(values, x, tables)
+        lead = x.shape[:-1]
+        if values.shape[:-1] != lead:
+            lead = np.broadcast_shapes(values.shape[:-1], lead)
+            values = np.broadcast_to(values, lead + values.shape[-1:])
+            x = np.broadcast_to(x, lead + x.shape[-1:])
+        values = values.reshape(-1, tables.num_unique)
+        x = x.reshape(-1, tables.n)
 
     lanes = len(x)
     if (lanes >= _ROW_CROSSOVER and values.dtype == x.dtype
             and x.dtype in _ROW_DTYPES):
-        out = _row_program(tab).run(values, x)
+        out = _row_program(tables).run(values, x)
     else:
-        out = _gather_blocks(values, x, tab)
-    counter.add_flops(lanes * (tab.num_rows * (tab.m + 2)))
-    return out.reshape(lead + (tab.n,))
+        out = _gather_blocks(values, x, tables)
+    counter.add_flops(lanes * (tables.num_rows * (tables.m + 2)))
+    return out if lead is None else out.reshape(lead + (tables.n,))
 
 
 def _gather_blocks(values: np.ndarray, x: np.ndarray,
@@ -182,24 +190,56 @@ def _gather_blocks(values: np.ndarray, x: np.ndarray,
     dtype, out_dtype = _dtypes(values.dtype, x.dtype)
     if values.dtype != dtype:  # the rows are scaled in place below
         values = values.astype(dtype)
+    g = _gather_order(tab, dtype)
     out = np.empty((lanes, tab.n), dtype=out_dtype)
-    R, n = tab.num_rows, tab.n
-    K = R // n
-    factors = tab.row_factors[:K].T  # (m-1, K): segment 0's factor tuples
-    row_class = tab.row_class.reshape(n, K)
-    sigma = tab.row_sigma.astype(dtype).reshape(n, K, 1)
-    starts = tab.out_starts[:-1]
-    block = _lane_block(R)
-    for s in range(0, lanes, block):
-        xt = x[s:s + block].T  # (n, B)
+    for s in range(0, lanes, g.block):
+        xt = x[s:s + g.block].T  # (n, B)
         # (K, B) remaining-factor products, multiplied left to right
-        f = np.multiply.reduce(xt[factors], axis=0, dtype=x.dtype)
-        contrib = values[s:s + block].T[row_class]  # (n, K, B) value rows
+        f = np.multiply.reduce(xt[g.factors], axis=0, dtype=x.dtype)
+        contrib = values[s:s + g.block].T[g.row_class]  # (n, K, B) value rows
         contrib *= f  # the same K products for every output segment
-        contrib *= sigma
-        np.add.reduceat(contrib.reshape(R, -1), starts, axis=0,
-                        out=out[s:s + block].T)
+        contrib *= g.sigma
+        np.add.reduceat(contrib.reshape(g.rows, -1), g.starts, axis=0,
+                        out=out[s:s + g.block].T)
     return out
+
+
+class _GatherOrder:
+    """The gather order's constants for one shape and row dtype, built
+    once (:func:`_gather_order`), so a serve-sized call, whose cost is
+    its ufunc calls and not its lanes, pays none of them."""
+
+    def __init__(self, tab: KernelTables, dtype: np.dtype):
+        R, n = tab.num_rows, tab.n
+        K = R // n
+        self.tables = tab
+        self.rows = R
+        # (m-1, K): segment 0's factor tuples, the same in every segment
+        self.factors = tab.row_factors[:K].T
+        self.row_class = tab.row_class.reshape(n, K)
+        self.sigma = tab.row_sigma.astype(dtype).reshape(n, K, 1)
+        self.starts = tab.out_starts[:-1]
+        self.block = _lane_block(R)
+
+
+#: Gather-order constants built so far, one per shape and row dtype.
+_GATHER_ORDERS: dict[tuple[int, int, np.dtype], _GatherOrder] = {}
+
+
+def _gather_order(tab: KernelTables, dtype: np.dtype) -> _GatherOrder:
+    """The cached gather-order constants of ``tab`` in ``dtype``."""
+    key = (tab.m, tab.n, dtype)
+    order = _GATHER_ORDERS.get(key)
+    if order is None or not _same_rows(order.tables, tab):
+        order = _GATHER_ORDERS[key] = _GatherOrder(tab, dtype)
+    return order
+
+
+def _same_rows(built: KernelTables, tab: KernelTables) -> bool:
+    """Whether ``tab`` has the row expansion ``built`` was read from."""
+    return tab is built or all(
+        np.array_equal(getattr(tab, name), getattr(built, name))
+        for name in ("row_class", "row_sigma", "row_factors"))
 
 
 #: Target size of one ``(R, B)`` float64 temporary of the gather order.
@@ -373,12 +413,6 @@ class _RowProgram:
                 ops.append((np.multiply, group, sig[sigma[q]], group))
         self.ops = ops
 
-    def reads(self, tab: KernelTables) -> bool:
-        """Whether this program was built from ``tab``'s row expansion."""
-        return tab is self.tables or all(
-            np.array_equal(getattr(tab, name), getattr(self.tables, name))
-            for name in ("row_class", "row_sigma", "row_factors"))
-
     def block(self, dtype: np.dtype) -> int:
         """Lanes per block: the scratch rows fill :data:`_ROW_L2_BYTES`,
         in whole cache lines."""
@@ -419,7 +453,7 @@ _ROW_PROGRAMS: dict[tuple[int, int], _RowProgram] = {}
 def _row_program(tab: KernelTables) -> _RowProgram:
     """The cached row program of ``tab``'s shape, built at first use."""
     program = _ROW_PROGRAMS.get((tab.m, tab.n))
-    if program is None or not program.reads(tab):
+    if program is None or not _same_rows(program.tables, tab):
         program = _ROW_PROGRAMS[(tab.m, tab.n)] = _RowProgram(tab)
     return program
 

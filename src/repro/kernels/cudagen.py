@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.kernels.tables import kernel_tables
-from repro.kernels.unrolled import unrolled_terms
+from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES, unrolled_terms
 from repro.util.combinatorics import num_unique_entries
 
 # the per-variant kernel generator is private: use the ``cuda-src``
@@ -189,8 +189,12 @@ void sshopm_general(const float* __restrict__ tensors,
 
 def generate_host_launcher(m: int = 4, n: int = 3, num_starts: int = 128) -> str:
     """Host-side launch snippet: grid of ``T`` blocks x ``V`` threads,
-    matching the data layout of Section V-C."""
+    matching the data layout of Section V-C.  It launches the unrolled
+    kernel, or past the unroll guard the general one, the only kernel
+    :func:`generate_cuda_module` emits there."""
     U = num_unique_entries(m, n)
+    kernel = "sshopm_unrolled" if U <= MAX_UNROLLED_ENTRIES else "sshopm_general"
+    pad = " " * (len(kernel) + len("<<<grid, block>>>("))
     return f"""\
 // Host-side launch (T tensors, {num_starts} starting vectors each):
 //   tensors       : T * {U} floats   (unique values, class order)
@@ -199,17 +203,29 @@ def generate_host_launcher(m: int = 4, n: int = 3, num_starts: int = 128) -> str
 //   eigenvectors  : T * {num_starts} * {n} floats
 dim3 grid(T);
 dim3 block({num_starts});
-sshopm_unrolled<<<grid, block>>>(d_tensors, d_starts,
-                                 d_eigenvalues, d_eigenvectors,
-                                 max_iter, alpha, tol);
+{kernel}<<<grid, block>>>(d_tensors, d_starts,
+{pad}d_eigenvalues, d_eigenvectors,
+{pad}max_iter, alpha, tol);
 """
 
 
 def generate_cuda_module(m: int = 4, n: int = 3, num_starts: int = 128) -> str:
-    """Both kernel variants plus the launcher in one translation unit."""
+    """Both kernel variants plus the launcher in one translation unit.
+    Past the unroll guard (:data:`~repro.kernels.unrolled.MAX_UNROLLED_ENTRIES`
+    unique entries) the module has only the general kernel, which needs
+    no unrolling, and says so in a comment."""
+    U = num_unique_entries(m, n)
+    if U <= MAX_UNROLLED_ENTRIES:
+        unrolled = _generate_cuda_kernel(m, n, num_starts, "unrolled")
+    else:
+        unrolled = (
+            f"// No sshopm_unrolled kernel: m={m}, n={n} has {U} unique "
+            f"entries, past the\n// unroll guard of {MAX_UNROLLED_ENTRIES} "
+            "(full unrolling only makes sense for small\n// tensors; see "
+            "Section V-D).  The general kernel below has no such limit.\n")
     return "\n".join(
         [
-            _generate_cuda_kernel(m, n, num_starts, "unrolled"),
+            unrolled,
             _generate_cuda_kernel(m, n, num_starts, "general"),
             "/*",
             generate_host_launcher(m, n, num_starts),

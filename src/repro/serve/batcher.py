@@ -159,8 +159,10 @@ def _solve_merged(group: list[_Chunk]) -> bool:
         np.broadcast_to(c.options["starts"], (k, *np.shape(c.options["starts"])))
         for c, k in zip(group, sizes)])
 
-    def stop() -> np.ndarray:
-        return np.repeat([c.stopped() for c in group], sizes)
+    def stop() -> np.ndarray | bool:
+        # polled every sweep: a (T,) mask only once some job's stop fired
+        fired = [c.stopped() for c in group]
+        return np.repeat(fired, sizes) if any(fired) else False
 
     try:
         res = pfleet.parallel_fleet_solve(

@@ -199,7 +199,10 @@ class Job:
         self.error: str | None = None
         self.created = time.time()
         self.seconds: float | None = None
-        self.result: dict | None = None
+        #: the result rows as arrays (:func:`_merge_rows`): the server
+        #: keeps every finished job, and the arrays take a quarter of the
+        #: memory of the JSON lists :attr:`result` builds from them
+        self.result_arrays: dict[str, np.ndarray] | None = None
         self.checkpoint: str | None = None
         self.stop_event = threading.Event()
         #: set when a runner starts the job
@@ -222,6 +225,13 @@ class Job:
         observe_serve_job(status, self.seconds)
         _emit("job_finish", job=self.id, status=status, seconds=self.seconds)
 
+    @property
+    def result(self) -> dict | None:
+        """The result document, JSON lists built at each read."""
+        arrays = self.result_arrays
+        return None if arrays is None else {
+            key: rows.tolist() for key, rows in arrays.items()}
+
     def to_doc(self) -> dict:
         with self.lock:
             doc = {
@@ -234,7 +244,7 @@ class Job:
             }
             if self.error is not None:
                 doc["error"] = self.error
-            if self.result is not None:
+            if self.result_arrays is not None:
                 doc["result"] = self.result
         return doc
 
@@ -253,7 +263,7 @@ def _row_record(result, t: int) -> dict:
 
 
 def _merge_rows(rows: dict, T: int, V: int, n: int) -> dict:
-    """Assemble the per-tensor records into the job's result document.
+    """Assemble the per-tensor records into the job's result arrays.
 
     Tensors with no record (a deadline fired before their chunk ran) get
     NaN/failed placeholder rows — the same never-drop contract as the
@@ -274,13 +284,13 @@ def _merge_rows(rows: dict, T: int, V: int, n: int) -> dict:
         if rec.get("shifts") is not None:
             shifts[t] = rec["shifts"]
     return {
-        "eigenvalues": lam.tolist(),
-        "eigenvectors": vec.tolist(),
-        "converged": conv.tolist(),
-        "iterations": iters.tolist(),
-        "failed": failed.tolist(),
-        "shifts": shifts.tolist(),
-        "tensors_solved": sorted(rows),
+        "eigenvalues": lam,
+        "eigenvectors": vec,
+        "converged": conv,
+        "iterations": iters,
+        "failed": failed,
+        "shifts": shifts,
+        "tensors_solved": np.array(sorted(rows), dtype=np.int64),
     }
 
 
@@ -481,7 +491,7 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     rows = {t: ckpt["starts"][str(t)] for t in range(T)
             if str(t) in ckpt["starts"]}
     with job.lock:
-        job.result = _merge_rows(rows, T, V, batch.n)
+        job.result_arrays = _merge_rows(rows, T, V, batch.n)
     if deadline_cut or not finished:
         job.finish("deadline")
     else:

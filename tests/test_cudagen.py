@@ -9,7 +9,9 @@ from repro.kernels.cudagen import (
     generate_cuda_module,
     generate_host_launcher,
 )
+from repro.cli import main
 from repro.kernels.tables import kernel_tables
+from repro.kernels.unrolled import MAX_UNROLLED_ENTRIES
 from repro.util.combinatorics import num_unique_entries
 
 
@@ -110,3 +112,17 @@ class TestModule:
 
     def test_generation_cached(self):
         assert generate_cuda_kernel(4, 3) is generate_cuda_kernel(4, 3)
+
+    def test_past_the_unroll_guard_only_the_general_kernel(self, tmp_path):
+        # 17,550 unique entries: no unrolled kernel, and the launcher
+        # starts the general one; `repro cudagen` writes the module
+        src = generate_cuda_module(4, 24)
+        assert num_unique_entries(4, 24) > MAX_UNROLLED_ENTRIES
+        assert "void sshopm_unrolled" not in src
+        assert "void sshopm_general" in src
+        assert "// No sshopm_unrolled kernel: m=4, n=24 has 17550" in src
+        assert "sshopm_general<<<grid, block>>>" in src
+        assert balanced(src)
+        out = tmp_path / "k.cu"
+        assert main(["cudagen", "--m", "4", "--n", "24", "-o", str(out)]) == 0
+        assert out.read_text() == src

@@ -187,8 +187,10 @@ class TestSweepArithmetic:
     FIELDS = ("eigenvalues", "eigenvectors", "converged", "iterations",
               "failed", "shifts")
 
-    def assert_matches_frozen(self, batch, alpha, tol=1e-10, max_iters=60):
-        starts = shared_starts(8, batch.n, seed=batch.m * 10 + batch.n)
+    def assert_matches_frozen(self, batch, alpha, tol=1e-10, max_iters=60,
+                              starts=None):
+        if starts is None:
+            starts = shared_starts(8, batch.n, seed=batch.m * 10 + batch.n)
         want = frozen_uniform_sweep(batch, starts, alpha, tol, max_iters)
         got = fleet_solve(batch, starts=starts, alpha=alpha, tol=tol,
                           max_iters=max_iters, compact_every=4)
@@ -196,6 +198,8 @@ class TestSweepArithmetic:
             assert np.array_equal(getattr(got, field), want[field],
                                   equal_nan=want[field].dtype.kind == "f"), \
                 field
+        # the frozen sweep runs until no lane is live, as the engine must
+        assert got.sweeps == want["iterations"].max()
         return got
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0, -1.5])
@@ -205,18 +209,47 @@ class TestSweepArithmetic:
         self.assert_matches_frozen(
             random_symmetric_batch(3, m, n, rng=100 * m + n), alpha)
 
-    @pytest.mark.parametrize("alpha", [1.5, 0.0, -1.5])
-    def test_zero_tensor_beside_live_lanes(self, alpha):
-        # unshifted, the zero tensor's lanes collapse to norm 0 at the
-        # first sweep while the other tensors' lanes iterate on
+    @pytest.mark.parametrize("poison,alpha", [
+        *(pytest.param("zero", a, id=str(a)) for a in (1.5, 0.0, -1.5)),
+        pytest.param("norm-overflow", 0.0, id="norm-overflow"),
+        pytest.param("lambda-overflow", 0.0, id="lambda-overflow"),
+        pytest.param("nan", 1.5, id="nan"),
+    ])
+    def test_zero_tensor_beside_live_lanes(self, poison, alpha):
+        # tensor 1 is zero or fails in the first sweep while the other
+        # tensors' lanes iterate on; its failed rows ride along through
+        # the compactions every 4 sweeps
         batch = random_symmetric_batch(3, 4, 3, rng=11)
         values = batch.values.copy()
-        values[1] = 0.0
+        starts = None
+        if poison == "zero":
+            # unshifted, its lanes collapse to norm 0 at the first sweep
+            values[1] = 0.0
+        elif poison == "norm-overflow":
+            # the update's entries are finite, its norm overflows
+            values[1] *= 1e300
+        elif poison == "lambda-overflow":
+            # A = e_0^4 + 1e308 on the entries of indices {1, 2}: from
+            # starts near e_0 the update (about 1e129) has a finite norm,
+            # and the next A x^{m-1} overflows lambda
+            index = get_plan(4, 3).tables.index
+            values[1] = np.where((index > 0).all(axis=1), 1e308, 0.0)
+            values[1, 0] = 1.0
+            starts = np.ones((8, 3))
+            rng = np.random.default_rng(5)
+            starts[:, 1:] = rng.uniform(1, 2, (8, 2)) * 1e-60
+        else:
+            values[1] = np.nan
         got = self.assert_matches_frozen(
-            SymmetricTensorBatch(values, batch.m, batch.n), alpha)
-        if alpha == 0.0:
+            SymmetricTensorBatch(values, batch.m, batch.n), alpha,
+            starts=starts)
+        if alpha == 0.0 or poison == "nan":
             assert got.failed[1].all() and (got.iterations[1] == 1).all()
             assert not got.failed[[0, 2]].any()
+        if poison == "lambda-overflow":
+            # retired with the updated iterate, which only a failed lambda
+            # keeps: a failed norm keeps the start
+            assert (np.abs(got.eigenvectors[1, :, 0]) < 1e-100).all()
 
 
 class TestCompaction:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.gpu.device import TESLA_C2050, DeviceSpec
 from repro.gpu.kernelspec import KernelLaunch, sshopm_launch
 from repro.gpu.occupancy import compute_occupancy
+from repro.kernels.compressed import symmetric_flops_scalar, symmetric_flops_vector
 
 
 def launch_with(threads=128, regs=18, smem=60, name="t"):
@@ -111,3 +112,14 @@ class TestSectionVEFalloff:
         s3 = sshopm_launch(4, 3, variant="general").shared_mem_per_block
         s6 = sshopm_launch(6, 3, variant="general").shared_mem_per_block
         assert s6 > s3
+
+    def test_general_launch_past_the_unroll_guard(self):
+        # 17,550 unique entries: "unrolled" refuses, "general" counts the
+        # Figure 2-3 kernels' flops, which need no unrolling
+        launch = sshopm_launch(4, 24, variant="general")
+        assert launch.flops_per_thread_iter == (
+            symmetric_flops_scalar(4, 24) + symmetric_flops_vector(4, 24)
+            + 3 * 24 + 4)
+        assert not compute_occupancy(TESLA_C2050, launch).launchable
+        with pytest.raises(ValueError, match="refusing to unroll"):
+            sshopm_launch(4, 24, variant="unrolled")

@@ -296,6 +296,19 @@ class TestRunJob:
         doc = job.to_doc()
         assert doc["status"] == "done" and not doc["degraded"]
 
+    def test_result_is_kept_as_arrays(self, tmp_path):
+        # the server keeps every finished job, so its rows stay arrays and
+        # each read builds the JSON lists with every float64 bit
+        job = _job(SPEC)
+        run_job(job, ckpt_dir=tmp_path)
+        arrays = job.result_arrays
+        assert all(isinstance(rows, np.ndarray) for rows in arrays.values())
+        doc = json.loads(json.dumps(job.to_doc()))["result"]
+        assert list(doc) == list(arrays) and doc == job.result
+        for key, rows in arrays.items():
+            back = np.asarray(doc[key], dtype=rows.dtype)
+            assert back.tobytes() == rows.tobytes(), key
+
     def test_immediate_deadline_ends_with_deadline_status(self, tmp_path):
         job = _job({**SPEC, "deadline_seconds": 1e-9})
         time.sleep(0.01)  # guarantee the deadline is in the past
