@@ -51,7 +51,7 @@ kernel-bench:  ## A x^{m-1} cost per call of both evaluation orders at 1-65,536 
 events-check:  ## event stream: <5% disabled budget + every line schema-valid
 	python -m pytest -q benchmarks/bench_events_overhead.py
 
-fleet-bench:  ## process-vs-thread fleet executor gate (>=2x floor, O(result) IPC)
+fleet-bench:  ## process tier vs one inline fleet gate (>=2x floor, O(result) IPC)
 	python -m pytest -q benchmarks/bench_process_fleet.py
 
 serve-check:  ## serve control-plane latency budgets (admission, HTTP, drain)

@@ -127,7 +127,9 @@ def _smoke_kernel_ax_m1():
 
 
 def _smoke_thread_fleet():
-    """Mirror of bench_figure5_scaling.py (thread-tier fleet shards)."""
+    """The thread tier asked for two workers: one inline fleet (the
+    workload keeps its name so ``bench-compare`` pairs it across
+    commits)."""
     batch = _batch(tensors=8, m=3, n=5)
     parallel_fleet_solve(batch, workers=2, num_starts=8, alpha=1.0,
                          max_iters=30, rng=np.random.default_rng(5),

@@ -739,12 +739,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="codegen backend for the kernel plan (numpy, numba, "
                    "or auto for the shape's race winner; default numpy)")
     p.add_argument("--workers", type=int, default=1,
-                   help="shard the tensor axis over this many workers")
+                   help="shard the tensor axis over this many worker "
+                   "processes (--executor process or auto; the thread "
+                   "tier always runs one fleet)")
     p.add_argument("--executor", choices=("thread", "process", "auto"),
                    default=None,
-                   help="worker tier for --workers > 1: thread (default), "
-                   "process (zero-copy shared-memory worker processes), "
-                   "or auto (communication cost model picks)")
+                   help="tier for --workers > 1: thread (default; one "
+                   "fleet in the calling thread), process (zero-copy "
+                   "shared-memory worker processes), or auto "
+                   "(communication cost model picks)")
     p.add_argument("--adaptive", action="store_true",
                    help="per-lane shift escalation on oscillation")
     p.add_argument("--method", choices=("sshopm", "geap", "qrst", "auto"),

@@ -16,10 +16,11 @@ pipeline.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Any
 
-__all__ = ["SolveConfig", "resolve_option"]
+__all__ = ["SolveConfig", "deadline_stop", "resolve_option"]
 
 
 @dataclass(frozen=True)
@@ -111,3 +112,22 @@ def resolve_option(name: str, explicit, config: SolveConfig | None, default):
             return value
     return default
 
+
+def deadline_stop(stop, deadline: float | None):
+    """The stop hook that fires when ``stop`` does or ``deadline`` (an
+    absolute ``time.time()`` instant) has passed; ``stop`` itself when
+    there is no deadline.
+
+    A passed deadline stops the whole run; before it, the hook answers
+    whatever ``stop`` answers, so a fleet's per-tensor stop mask passes
+    through unchanged.
+    """
+    if deadline is None:
+        return stop
+
+    def stop_or_deadline():
+        if time.time() >= deadline:
+            return True
+        return False if stop is None else stop()
+
+    return stop_or_deadline

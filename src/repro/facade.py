@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import SolveConfig
+from repro.core.config import SolveConfig, deadline_stop
 from repro.core.results import ResultProtocol
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
 
@@ -141,13 +141,13 @@ def _split_starts(request: SolveRequest):
 
 
 def _fold_deadline(opts: dict, config: SolveConfig | None) -> dict:
-    """Translate ``deadline=`` (or ``config.deadline``) into the solver's
-    ``stop=`` hook, mirroring the fleet path's convention."""
+    """Fold ``deadline=`` (or ``config.deadline``) into the solver's
+    ``stop=`` hook, composed with any ``stop=`` the caller passed."""
     deadline = opts.pop("deadline", None)
     if deadline is None and config is not None:
         deadline = config.deadline
-    if deadline is not None and "stop" not in opts:
-        opts["stop"] = lambda: time.time() >= deadline
+    if deadline is not None:
+        opts["stop"] = deadline_stop(opts.get("stop"), deadline)
     return opts
 
 
@@ -201,12 +201,13 @@ def solve(
         (:func:`~repro.solvers.registry.choose_method`).  ``None``
         defers to ``config.method`` and then the legacy shape routing.
         See ``docs/solvers.md`` for the selection guide.
-    workers : shard a batch request over this many workers via
-        :func:`~repro.parallel.fleet.parallel_fleet_solve`; pass
-        ``executor="process"`` (or ``"auto"``) in ``options`` to run them
-        as zero-copy shared-memory worker processes instead of threads
-        (see ``docs/parallel.md`` — results stay bit-for-bit identical
-        to a single-worker run).
+    workers : route a batch request through
+        :func:`~repro.parallel.fleet.parallel_fleet_solve`; with
+        ``executor="process"`` (or ``"auto"``) in ``options`` it shards
+        the batch over this many zero-copy shared-memory worker
+        processes, while the default thread tier runs one fleet in the
+        calling thread (see ``docs/parallel.md`` — results stay
+        bit-for-bit identical to a single-worker run).
     **options : forwarded verbatim to the routed solver (e.g.
         ``variant=``/``backend=``, ``telemetry=``, ``guards=``,
         ``scheme=``, ``dtype=``, ``compact_every=``).  On the fleet

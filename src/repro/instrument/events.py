@@ -1,6 +1,6 @@
 """Bounded, low-overhead typed event stream for fleet runs.
 
-A fleet run — thread tier, process tier, or a single inline fleet — can
+A fleet run — one inline fleet or the process tier — can
 spool *typed events* (shard start/finish, lane retirements, compactions,
 steals, requeues, guard trips, plan-cache hits) to a per-run JSONL file.
 The spool is the operational complement of the span tree: spans answer
@@ -25,7 +25,7 @@ Design constraints, in order:
   when events are off.
 
 Correlation model: every line carries ``run`` (the run id minted by
-:func:`new_run_id`), ``src`` (``"parent"``, ``"w3"``, ``"t0"``...), and a
+:func:`new_run_id`), ``src`` (``"parent"``, ``"w3"``...), and a
 wall-clock ``t``.  The same run id is stamped into the trace meta, the
 checkpoint header, and bench documents, so events ↔ spans ↔ metrics ↔
 checkpoints from one run join on it.  See ``docs/events.md``.
@@ -68,7 +68,7 @@ EVENTS_SCHEMA = "repro-fleet-events/1"
 DEFAULT_RATE_CAP = 500
 
 #: Every line carries these; ``src`` identifies the emitting actor
-#: (``"parent"``, process worker ``"w<id>"``, thread worker ``"t<id>"``).
+#: (``"parent"``, process worker ``"w<id>"``).
 BASE_FIELDS = ("ev", "t", "run", "src")
 
 #: event type -> payload fields required by :func:`validate_event`.
@@ -134,8 +134,7 @@ class EventSpool:
 
     Construct via :meth:`open` (which writes the ``header`` line) and
     close via :meth:`close` / the context-manager protocol.  Thread-safe:
-    the thread tier's workers share one spool through :class:`BoundSpool`
-    views; rate accounting and the fd are guarded by one lock.
+    rate accounting and the fd are guarded by one lock.
     """
 
     def __init__(self, fd: int, path, run_id: str, src: str,
@@ -169,11 +168,6 @@ class EventSpool:
         if header:
             spool.emit("header", schema=EVENTS_SCHEMA, **provenance())
         return spool
-
-    def bound(self, src: str) -> "BoundSpool":
-        """A view emitting through this spool with a different ``src``
-        (thread-tier workers sharing the parent's descriptor)."""
-        return BoundSpool(self, src)
 
     def emit(self, ev: str, **fields) -> bool:
         """Append one event line; returns ``False`` if decimated/closed.
@@ -227,32 +221,6 @@ class EventSpool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class BoundSpool:
-    """A ``src``-rebinding view over a shared :class:`EventSpool`."""
-
-    def __init__(self, spool: EventSpool, src: str):
-        self._spool = spool
-        self.src = src
-
-    @property
-    def path(self) -> str:
-        return self._spool.path
-
-    @property
-    def run_id(self) -> str:
-        return self._spool.run_id
-
-    def emit(self, ev: str, **fields) -> bool:
-        fields.setdefault("src", self.src)
-        return self._spool.emit(ev, **fields)
-
-    def bound(self, src: str) -> "BoundSpool":
-        return BoundSpool(self._spool, src)
-
-    def close(self) -> None:
-        """No-op: the underlying spool's owner closes it."""
 
 
 _TLS = threading.local()

@@ -1,6 +1,7 @@
-"""CPU-parallel substrate: partitioning, thread/process fleet drivers, a
-zero-copy shared-memory tensor store, the communication cost model behind
-``executor="auto"``, and the calibrated OpenMP-scaling performance model."""
+"""CPU-parallel substrate: partitioning, ``parallel_fleet_solve`` (one
+inline fleet or sharded worker processes), a zero-copy shared-memory
+tensor store, the communication cost model behind ``executor="auto"``,
+and the calibrated OpenMP-scaling performance model."""
 
 from repro.parallel.comm import (
     EXECUTORS,

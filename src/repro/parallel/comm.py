@@ -12,9 +12,8 @@ comparing *bytes moved* against *flops computed* per shard:
   payload into shared memory once and moves only shard descriptors and
   completion metadata through pipes — ``O(1)`` per shard, with results
   written in place (``O(result)`` total, never serialized);
-* the thread tier moves nothing but serializes the per-sweep Python
-  dispatch on the GIL, so it scales with the fraction of each sweep spent
-  inside GIL-releasing kernels, not with core count.
+* the thread tier moves nothing and runs one fleet in the calling
+  thread, so it costs the whole compute on one core.
 
 :func:`estimate_fleet_comm` produces the byte/flop ledger for a workload
 (validated against the measured ``repro_shm_bytes_published_total`` /
@@ -50,10 +49,6 @@ META_BYTES = 320
 _FLOPS_PER_SECOND = 2.0e9
 _PIPE_BYTES_PER_SECOND = 1.5e9
 _WORKER_STARTUP_SECONDS = 0.02
-#: Thread-tier scaling: fraction of a sweep genuinely overlapping in
-#: GIL-releasing numpy kernels.  Small shapes are dispatch-dominated, so
-#: threads add little; this is the pessimism the process tier beats.
-_GIL_OVERLAP = 0.15
 
 
 @dataclass(frozen=True)
@@ -157,18 +152,19 @@ def choose_executor(estimate: FleetCommEstimate,
                     cpu_count: int | None = None) -> ExecutorChoice:
     """Pick the executor tier for a workload from its comm estimate.
 
-    Threads win when there is no parallel hardware, too little work to
-    amortize worker startup, or a single worker; otherwise the zero-copy
-    process tier wins as soon as predicted compute dominates its fixed
-    costs (startup + descriptor traffic), because its pipe traffic is
-    O(shards), not O(tensor).
+    The thread tier is one fleet in the calling thread, so it costs the
+    whole predicted compute.  It wins when there is no parallel
+    hardware, too little work to amortize worker startup, or a single
+    worker; otherwise the zero-copy process tier wins as soon as its
+    share of the compute plus its fixed costs (startup + descriptor
+    traffic) undercut that, because its pipe traffic is O(shards), not
+    O(tensor).
     """
     if cpu_count is None:
         cpu_count = os.cpu_count() or 1
     compute = estimate.flops / _FLOPS_PER_SECOND
     eff_workers = max(1, min(estimate.workers, cpu_count))
-    thread_speedup = 1.0 + _GIL_OVERLAP * (eff_workers - 1)
-    thread_seconds = compute / thread_speedup
+    thread_seconds = compute
     process_seconds = (
         compute / eff_workers
         + _WORKER_STARTUP_SECONDS * estimate.workers
@@ -187,7 +183,7 @@ def choose_executor(estimate: FleetCommEstimate,
         return ExecutorChoice(
             "process",
             f"predicted {thread_seconds / max(process_seconds, 1e-12):.1f}x "
-            f"over threads at intensity "
+            f"over one inline fleet at intensity "
             f"{estimate.intensity('process'):.0f} flops/pipe-byte",
             thread_seconds, process_seconds)
     return ExecutorChoice(

@@ -1,15 +1,15 @@
-"""T-axis sharding for the fleet engine, over thread or process workers.
+"""T-axis sharding for the fleet engine over worker processes.
 
 The fleet scheduler (:func:`repro.engine.fleet.fleet_solve`) already
-vectorizes every (tensor, start) lane of its workload; this driver splits
-the *tensor* axis into contiguous shards and runs one fleet per worker.
-Two executor tiers share the partition/merge discipline:
+vectorizes every (tensor, start) lane of its workload; this module runs
+it either as one fleet in the calling thread or split along the
+*tensor* axis into contiguous shards, one fleet per worker process:
 
 ``executor="thread"``
-    One fleet per worker thread (the historical behavior).  Cheap to
-    start and zero-copy by construction, but numpy dispatch serializes on
-    the GIL, so scaling is bounded by the fraction of each sweep spent
-    inside GIL-releasing kernels.
+    One fleet in the calling thread, whatever ``workers`` is.  Worker
+    threads would contend for the interpreter lock: on a 2-core host two
+    of them ran 1.09–2.15x slower than the better of one inline fleet
+    and the process tier at every measured shape (``docs/parallel.md``).
 ``executor="process"``
     Persistent worker processes over a zero-copy shared-memory tensor
     store (:mod:`repro.parallel.shm`, :mod:`repro.parallel.procfleet`).
@@ -18,26 +18,24 @@ Two executor tiers share the partition/merge discipline:
     oversplit — see ``steal=``), and results land in a preallocated
     shared block, so pipe traffic is O(result metadata) per shard.
 ``executor="auto"``
-    Picks a tier via the communication cost model in
+    Picks one of the two via the communication cost model in
     :mod:`repro.parallel.comm` (bytes moved vs. flops computed, after the
     block-partitioned Symv analysis of arXiv:2506.15488).
 
-Either way every shard shares one starting-vector set, and the kernel
-names (``"auto"`` included) are resolved once before any shard starts, so
+Every shard shares one starting-vector set, and the kernel names
+(``"auto"`` included) are resolved once before any shard starts, so
 every shard runs the same plan and the merged ``(T, V)`` result is
-bit-for-bit the single-worker fleet result.  Shards are cut by
+bit-for-bit the single-fleet result.  Shards are cut by
 :func:`~repro.parallel.partition.cost_weighted_partition` fed with
 per-tensor kernel-plan flop estimates; worker counts exceeding the batch
 size are clamped with a warning (the partition itself refuses empty
 shards with a typed :class:`~repro.parallel.partition.PartitionError`).
 
-Observability: both tiers feed one coherent trace — thread workers'
-recorders are absorbed directly, process workers serialize their span
-trees through the result queue and the parent stitches them under
-``workerN`` (see ``FleetRunReport.workers_traced``) — and both tiers
-spool typed events (``events=`` or an ambient
-:func:`~repro.instrument.events.use_spool`) that ``repro top`` renders
-live.  See ``docs/events.md``.
+Observability: process workers serialize their span trees through the
+result queue and the parent stitches them under ``workerN`` (see
+``FleetRunReport.workers_traced``); both tiers spool typed events
+(``events=`` or an ambient :func:`~repro.instrument.events.use_spool`)
+that ``repro top`` renders live.  See ``docs/events.md``.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import SolveConfig, resolve_option
+from repro.core.config import SolveConfig, deadline_stop, resolve_option
 from repro.core.results import FleetResult
 from repro.instrument import Recorder, current_recorder
 from repro.instrument import span as _span
@@ -60,7 +58,6 @@ from repro.instrument.events import (
     use_spool,
 )
 from repro.instrument.log import get_logger
-from repro.instrument.metrics import MetricsRegistry, get_registry, use_registry
 from repro.parallel.comm import EXECUTORS, choose_executor, estimate_fleet_comm
 from repro.parallel.partition import cost_weighted_partition
 from repro.symtensor.storage import SymmetricTensorBatch
@@ -96,12 +93,14 @@ class FleetRunReport:
     ``executor`` is the tier that actually ran (``"auto"`` resolves
     before execution, and a single-shard run, which is inline on the
     calling thread, reports ``"thread"`` whatever tier was asked for);
+    a ``"thread"`` run is always one fleet, so it reports
+    ``workers=1`` and ``shard_sizes=[T]``.
     ``requeues``/``failed_shards`` are the process
     tier's crash accounting (a requeued shard, a written-off shard).
     ``workers_traced`` counts the worker span subtrees stitched into the
-    caller's trace (0 when tracing was off or the run was a degenerate
-    single shard; for the process tier a worker SIGKILLed before sending
-    its exit message cannot be counted).
+    caller's trace (0 when tracing was off or the run was one inline
+    fleet; a process worker SIGKILLed before sending its exit message
+    cannot be counted).
     """
 
     result: FleetResult
@@ -201,21 +200,23 @@ def parallel_fleet_solve(
     stop=None,
     deadline: float | None = None,
 ) -> FleetRunReport:
-    """Shard ``tensors`` over ``workers``, one fleet per shard.
+    """Run ``tensors`` as one fleet, or shard them over ``workers``
+    processes, one fleet per shard.
 
     Parameters are those of :func:`repro.engine.fleet.fleet_solve`, with
     the same defaults and the same ``config`` resolution; every shard
     shares one starting-vector set, so the merged ``(T, V)`` result is
-    bit-for-bit a single-worker fleet run with the same starts (shard
+    bit-for-bit a single fleet run with the same starts (shard
     boundaries change lane scheduling, not arithmetic).  Per-tensor
-    ``(T, V, n)`` starts and a ``stop`` returning a ``(T,)`` mask are
-    for one fleet only: they pass through the single-shard path, and
-    ``(T, V, n)`` starts with more than one shard raise ``ValueError``
-    before any worker starts.  The tier-specific ones:
+    ``(T, V, n)`` starts need ``workers=1`` (with more they raise
+    ``ValueError`` before any worker starts), and a ``stop`` returning a
+    ``(T,)`` mask needs one fleet: ``workers=1`` or the thread tier.
+    The tier-specific ones:
 
-    executor : ``"thread"`` (default), ``"process"`` (zero-copy
-        shared-memory worker processes), or ``"auto"`` (cost-model pick);
-        also settable via ``SolveConfig.executor``.
+    executor : ``"thread"`` (default: one fleet in the calling thread,
+        whatever ``workers`` is), ``"process"`` (``workers`` zero-copy
+        shared-memory worker processes), or ``"auto"`` (cost-model pick
+        between the two); also settable via ``SolveConfig.executor``.
     steal : oversplit the batch into ``STEAL_SPLIT_FACTOR`` sub-shards
         per worker so the process tier's work queue behaves as work
         stealing.  ``None`` (auto) enables it when the cost-weighted
@@ -231,10 +232,10 @@ def parallel_fleet_solve(
         via :func:`~repro.instrument.events.use_spool` — the ambient
         spool wins, so one CLI-opened spool covers nested solves.
         ``repro top <path>`` renders the stream live.
-    stop : optional zero-argument callable forwarded to every shard's
+    stop : optional zero-argument callable forwarded to
         :func:`~repro.engine.fleet.fleet_solve` — polled once per sweep;
         when truthy the whole run cancels cleanly through the
-        lane-retirement path and the merged result has ``stopped=True``.
+        lane-retirement path and the result has ``stopped=True``.
         For the process tier the parent polls it and relays cancellation
         to the workers through a shared event (callables don't pickle).
     deadline : optional absolute epoch time (``time.time()`` scale); at
@@ -260,14 +261,7 @@ def parallel_fleet_solve(
         tensors.m, tensors.n,
         resolve_option("variant", variant, config, "vectorized"),
         resolve_option("backend", backend, config, "numpy"))
-    if deadline is not None:
-        user_stop = stop
-
-        def stop(_user_stop=user_stop, _deadline=deadline):
-            if _user_stop is not None and _user_stop():
-                return True
-            return time.time() >= _deadline
-
+    stop = deadline_stop(stop, deadline)
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -294,13 +288,11 @@ def parallel_fleet_solve(
             f"workers={workers}")
     V = np.shape(starts)[-2]
 
-    weights = _shard_weights(tensors, V)
     if executor == "auto":
         estimate = estimate_fleet_comm(
             T, tensors.values.shape[1], V, tensors.n,
             workers, m=tensors.m, sweeps=max_iters // 4 or 1)
-        choice = choose_executor(estimate)
-        executor = choice.executor
+        executor = choose_executor(estimate).executor
     if executor == "process":
         from repro.parallel.shm import SHM_AVAILABLE
 
@@ -322,32 +314,9 @@ def parallel_fleet_solve(
                     EventSpool.open(events_path, src="parent"))
                 _stack.enter_context(use_spool(spool))
 
-        def solve(shard):
-            # one fleet per shard, every shard on the same starts and options
-            return fleet_solve(
-                shard, alpha=alpha, tol=tol, max_iters=max_iters,
-                starts=starts, variant=variant, backend=backend, dtype=dtype,
-                config=config, adaptive=adaptive, compact_every=compact_every,
-                guards=guards, stop=stop,
-            )
-
-        if workers == 1 or T == 1:
-            # degenerate single shard: run inline, skip any pool
-            _emit("run_start", tensors=T, lanes=T * V, workers=1, shards=1,
-                  executor="inline", ranges=[[0, T]])
-            _emit("shard_start", shard=0, lo=0, hi=T)
-            res = solve(tensors)
-            elapsed = time.perf_counter() - t0
-            _emit("shard_finish", shard=0, seconds=elapsed, sweeps=res.sweeps)
-            _emit("run_finish", seconds=elapsed, requeues=0, failed=0)
-            return FleetRunReport(
-                result=res, workers=1, seconds=elapsed,
-                shard_sizes=[T], shard_seconds=[elapsed], executor="thread",
-            )
-
-        if executor == "process":
+        if executor == "process" and workers > 1:
             return _process_tier(
-                tensors, workers, starts, weights, alpha=alpha, tol=tol,
+                tensors, workers, starts, alpha=alpha, tol=tol,
                 max_iters=max_iters, variant=variant, backend=backend,
                 dtype=dtype, adaptive=adaptive,
                 compact_every=compact_every, guards=guards, steal=steal,
@@ -355,75 +324,22 @@ def parallel_fleet_solve(
                 faults=faults, parent=parent, t0=t0,
                 stop=stop, deadline=deadline)
 
-        ranges = cost_weighted_partition(weights, workers)
-        _emit("run_start", tensors=T, lanes=T * V, workers=len(ranges),
-              shards=len(ranges), executor="thread",
-              ranges=[[r.start, r.stop] for r in ranges])
-
-        def solve_shard(item):
-            wid, r = item
-            worker_reg = MetricsRegistry()
-            worker_rec = Recorder() if parent is not None else None
-            worker_spool = spool.bound(f"t{wid}") if spool is not None else None
-            shard = tensors.subset(np.arange(r.start, r.stop))
-            ts = time.perf_counter()
-            with use_registry(worker_reg), use_spool(worker_spool):
-                _emit("shard_start", shard=wid, lo=r.start, hi=r.stop)
-                if worker_rec is not None:
-                    with worker_rec.activate():
-                        res = solve(shard)
-                else:
-                    res = solve(shard)
-                seconds = time.perf_counter() - ts
-                _emit("shard_finish", shard=wid, seconds=seconds,
-                      sweeps=res.sweeps)
-            return res, worker_rec, worker_reg, seconds
-
-        workers_traced = 0
-        with _span("parallel_fleet_solve"):
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                outs = list(pool.map(solve_shard, enumerate(ranges)))
-
-            caller_reg = get_registry()
-            if parent is not None:
-                parent.gauge("parallel.workers", len(ranges))
-                parent.gauge("parallel.executor", "thread")
-                parent.gauge("parallel.shard_sizes", [len(r) for r in ranges])
-                for wid, (_, worker_rec, _, _) in enumerate(outs):
-                    if worker_rec is not None:
-                        parent.absorb(worker_rec, under=f"worker{wid}")
-                        workers_traced += 1
-            for _, _, worker_reg, _ in outs:
-                caller_reg.merge(worker_reg)
-
-        parts = [o[0] for o in outs]
-        merged = FleetResult(
-            eigenvalues=np.concatenate([p.eigenvalues for p in parts], axis=0),
-            eigenvectors=np.concatenate([p.eigenvectors for p in parts], axis=0),
-            converged=np.concatenate([p.converged for p in parts], axis=0),
-            iterations=np.concatenate([p.iterations for p in parts], axis=0),
-            sweeps=max(p.sweeps for p in parts),
-            failed=np.concatenate([p.failed for p in parts], axis=0),
-            shifts=np.concatenate([p.shifts for p in parts], axis=0),
-            variant=parts[0].variant,
-            compactions=sum(p.compactions for p in parts),
-            stopped=any(p.stopped for p in parts),
-            tensors=tensors,
+        # the thread tier, and any single-shard run: one fleet, inline
+        _emit("run_start", tensors=T, lanes=T * V, workers=1, shards=1,
+              executor="inline", ranges=[[0, T]])
+        _emit("shard_start", shard=0, lo=0, hi=T)
+        res = fleet_solve(
+            tensors, alpha=alpha, tol=tol, max_iters=max_iters,
+            starts=starts, variant=variant, backend=backend, dtype=dtype,
+            config=config, adaptive=adaptive, compact_every=compact_every,
+            guards=guards, stop=stop,
         )
         elapsed = time.perf_counter() - t0
+        _emit("shard_finish", shard=0, seconds=elapsed, sweeps=res.sweeps)
         _emit("run_finish", seconds=elapsed, requeues=0, failed=0)
-        _log.info("thread fleet run finished",
-                  fields={"workers": len(ranges), "seconds": elapsed})
         return FleetRunReport(
-            result=merged,
-            workers=len(ranges),
-            seconds=elapsed,
-            shard_sizes=[len(r) for r in ranges],
-            shard_seconds=[o[3] for o in outs],
-            executor="thread",
-            workers_traced=workers_traced,
+            result=res, workers=1, seconds=elapsed,
+            shard_sizes=[T], shard_seconds=[elapsed], executor="thread",
         )
 
 
@@ -435,7 +351,7 @@ def _predicted_imbalance(weights: np.ndarray, ranges) -> float:
     return max(sums) / mean if mean > 0 else 1.0
 
 
-def _process_tier(tensors, workers, starts, weights, *, alpha, tol,
+def _process_tier(tensors, workers, starts, *, alpha, tol,
                   max_iters, variant, backend, dtype, adaptive,
                   compact_every, guards, steal, start_method, max_requeues,
                   faults, parent, t0, stop=None,
@@ -445,6 +361,7 @@ def _process_tier(tensors, workers, starts, weights, *, alpha, tol,
     from repro.parallel.procfleet import process_fleet_solve
 
     T = len(tensors)
+    weights = _shard_weights(tensors, np.shape(starts)[-2])
     ranges = cost_weighted_partition(weights, workers)
     if steal is None:
         # auto: oversplit when even the *predicted* shard weights are

@@ -1,8 +1,8 @@
 """Process tier of the parallel fleet: persistent workers over a
 zero-copy shared tensor store.
 
-The thread tier (:mod:`repro.parallel.fleet`) serializes numpy dispatch
-on the GIL; this tier runs one OS process per worker instead, and keeps
+The thread tier (:mod:`repro.parallel.fleet`) is one fleet in the
+calling thread; this tier runs one OS process per worker, and keeps
 every byte of tensor payload out of the pipes:
 
 * the parent publishes the batch + starts + kernel tables into a

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 
 import numpy as np
 
+from repro.core.config import deadline_stop
 from repro.core.results import FleetResult
 from repro.instrument.log import get_logger
 from repro.symtensor.storage import SymmetricTensorBatch
@@ -64,12 +64,12 @@ class _Chunk:
                     *sorted((k, repr(v)) for k, v in options.items()
                             if k not in _PER_JOB))
         self.outcome: FleetResult | BaseException | None = None
+        self._stop = deadline_stop(options.get("stop"),
+                                   options.get("deadline"))
 
     def stopped(self) -> bool:
         """The job's own stop: its stop hook fired or its deadline passed."""
-        stop, deadline = self.options.get("stop"), self.options.get("deadline")
-        return bool(stop is not None and stop()) or (
-            deadline is not None and time.time() >= deadline)
+        return self._stop is not None and bool(self._stop())
 
     def solve_alone(self) -> None:
         from repro.parallel import fleet as pfleet
@@ -95,8 +95,8 @@ class ChunkBatcher:
         """Solve one chunk of ``member``'s job, merged with the chunk every
         other member has ready; blocks until the chunk's round ran.
 
-        ``options`` are the keywords of the job's own single-shard,
-        thread-tier ``parallel_fleet_solve(tensors, **options)`` call,
+        ``options`` are the keywords of the job's own thread-tier
+        ``parallel_fleet_solve(tensors, **options)`` call,
         ``starts`` of shape ``(V, n)`` included.  Returns the job's
         ``FleetResult`` (``stopped`` when the job's own stop or deadline
         retired any of its live lanes) or raises what its solve raised.

@@ -56,6 +56,10 @@ _log = get_logger("serve.jobs")
 #: Terminal job states (``done_event`` is set exactly when one is reached).
 TERMINAL = frozenset({"done", "failed", "interrupted", "deadline"})
 
+#: The methods :func:`run_job` can run (``repro serve --method``'s
+#: choices): SS-HOPM and GEAP fleet chunks, QRST batch chunks.
+METHODS = ("sshopm", "geap", "qrst")
+
 
 class BadSpec(ValueError):
     """A request document that cannot be turned into a runnable spec."""
@@ -72,10 +76,11 @@ class JobSpec:
     Both reconstruct the identical batch on resume, which the checkpoint
     layer verifies by fingerprint.
 
-    ``method`` picks the solver from the :mod:`repro.solvers` registry
-    (``"sshopm"``, ``"geap"``, ``"qrst"`` — never ``"auto"``: a job spec
-    must be reproducible, so routing happens at submission time).  A
-    checkpoint written under one method is stale for any other.
+    ``method`` is one of :data:`METHODS` — never ``"auto"`` (a job spec
+    must be reproducible, so routing happens at submission time) nor a
+    third-party registered method, which ``run_job`` has no chunk
+    runner for.  A checkpoint written under one method is stale for any
+    other.
     """
 
     tensors: dict
@@ -125,13 +130,9 @@ class JobSpec:
                                      or deadline <= 0):
             raise BadSpec("deadline_seconds must be a positive number")
         method = doc.get("method", "sshopm")
-        from repro.solvers import available_methods
-
-        if method == "auto" or method not in available_methods():
+        if method not in METHODS:
             raise BadSpec(
-                f"method must be one of "
-                f"{[m for m in available_methods() if m != 'auto']}, "
-                f"got {method!r}")
+                f"method must be one of {list(METHODS)}, got {method!r}")
         try:
             spec = cls(
                 tensors=tensors,
@@ -308,7 +309,7 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     checkpoint another running job would need at the next drain.
     ``batcher`` is a :class:`~repro.serve.batcher.ChunkBatcher` shared
     by concurrent jobs: the chunks of an ``sshopm``/``geap`` job on the
-    thread tier with one worker and no faults are solved through it,
+    thread tier with no faults are solved through it,
     merged with the chunks other jobs have ready, with bit-identical
     rows; every other chunk runs as without it.
     """
@@ -392,8 +393,7 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
     # process/auto chunks consult the breaker and faults are placed by
     # shard id, so only plain thread-tier fleet chunks merge
     mergeable = (batcher is not None and spec.method != "qrst"
-                 and spec.executor == "thread" and spec.workers == 1
-                 and not spec.faults)
+                 and spec.executor == "thread" and not spec.faults)
 
     def solve_chunk(keys: list[int]) -> dict | None:
         nonlocal deadline_cut
@@ -420,8 +420,12 @@ def run_job(job: Job, *, breaker=None, ckpt_dir=None, keep: int = 0,
             if spec.faults:
                 faults = {k - shards_seen: v for k, v in spec.faults.items()
                           if k >= shards_seen} or None
+            # a thread-tier chunk is one fleet, so its worker count never
+            # splits the batcher's merge key
+            workers = (1 if executor == "thread"
+                       else min(spec.workers, len(sub)))
             options = dict(
-                workers=min(spec.workers, len(sub)), starts=starts,
+                workers=workers, starts=starts,
                 alpha=spec.alpha, tol=spec.tol, max_iters=spec.max_iters,
                 stop=job.stop_event.is_set, deadline=deadline,
                 faults=faults,

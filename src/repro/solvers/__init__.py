@@ -18,8 +18,9 @@ Built-in methods (see ``docs/solvers.md`` for the selection guide):
     picks one of the above from the problem shape and spectrum target.
 
 Third-party solvers register through :func:`register_solver`; the
-facade, CLI, and serve plane route through :func:`get_solver`
-uniformly.
+facade (and the CLI through it) routes through :func:`get_solver`.  The
+serve plane runs only ``sshopm``, ``geap`` and ``qrst`` and refuses any
+other method.
 """
 
 from __future__ import annotations

@@ -181,12 +181,17 @@ class TestJsonOutput:
     def test_fleet_solve_json_includes_shards(self, capsys):
         import json
 
+        from repro.parallel.shm import SHM_AVAILABLE
+
+        if not SHM_AVAILABLE:
+            pytest.skip("shared_memory unavailable")
         assert main(["fleet-solve", "--tensors", "6", "--m", "3", "--n", "4",
-                     "--starts", "4", "--workers", "2", "--json"]) == 0
+                     "--starts", "4", "--workers", "2", "--executor",
+                     "process", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["shards"]["workers"] == 2
         assert sum(doc["shards"]["sizes"]) == 6
-        assert doc["shards"]["executor"] in ("thread", "process")
+        assert doc["shards"]["executor"] == "process"
 
     def test_report_json(self, capsys):
         import json

@@ -364,11 +364,16 @@ class TestAdaptive:
 
 class TestParallel:
     def test_sharded_matches_single_worker(self, small_batch):
+        from repro.parallel.shm import SHM_AVAILABLE
+
+        if not SHM_AVAILABLE:
+            pytest.skip("shared_memory unavailable")
         starts = shared_starts(8, small_batch.n)
         one = parallel_fleet_solve(small_batch, workers=1, starts=starts,
                                    alpha=4.0, tol=1e-10, max_iters=400)
         two = parallel_fleet_solve(small_batch, workers=2, starts=starts,
-                                   alpha=4.0, tol=1e-10, max_iters=400)
+                                   alpha=4.0, tol=1e-10, max_iters=400,
+                                   executor="process")
         np.testing.assert_array_equal(one.result.converged,
                                       two.result.converged)
         np.testing.assert_allclose(one.result.eigenvalues,

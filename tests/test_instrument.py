@@ -378,10 +378,14 @@ class TestPipelineTracing:
         assert rec.total("flops") > 0
 
     def test_parallel_workers_absorbed(self, phantom):
+        from repro.parallel.shm import SHM_AVAILABLE
+
+        if not SHM_AVAILABLE:
+            pytest.skip("shared_memory unavailable")
         with recording() as rec:
             report = parallel_fleet_solve(
                 phantom.tensors, workers=2, num_starts=8, max_iters=40, rng=0,
-                executor="thread",
+                executor="process",
             )
         assert report.workers == 2
         root_span = rec.find("parallel_fleet_solve")

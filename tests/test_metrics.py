@@ -233,12 +233,16 @@ class TestSolverEmission:
 
     def test_parallel_executor_merges_worker_registries(self):
         from repro.parallel import parallel_fleet_solve
+        from repro.parallel.shm import SHM_AVAILABLE
         from repro.symtensor.random import random_symmetric_batch
 
+        if not SHM_AVAILABLE:
+            pytest.skip("shared_memory unavailable")
         batch = random_symmetric_batch(6, 3, 4, rng=4)
         with use_registry() as reg:
             parallel_fleet_solve(batch, workers=3, num_starts=4, alpha=1.0,
-                                 max_iters=40, executor="thread")
+                                 max_iters=40, executor="process",
+                                 steal=False)
         runs = reg.counter("repro_solver_runs_total", labelnames=("solver",))
         pairs = reg.counter("repro_solver_pairs_total", labelnames=("solver",))
         assert runs.labels(solver="fleet_solve").value == 3  # one per shard

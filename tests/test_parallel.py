@@ -1,6 +1,9 @@
 """Tests for the CPU-parallel substrate: partitioning, the sharded fleet
 tiers, and the calibrated CPU scaling model."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from repro.util.rng import starting_vectors
 from repro.gpu.device import NEHALEM_2S, CpuSpec
 from repro.parallel.cpumodel import CpuPerfParams, predict_cpu_sshopm, speedup_curve
 from repro.parallel.fleet import parallel_fleet_solve
+from repro.parallel.shm import SHM_AVAILABLE
 from repro.parallel.partition import (
     PartitionError,
     chunk_sizes,
@@ -99,7 +103,8 @@ class TestCostWeightedPartition:
 
 
 class TestExecutor:
-    """The thread tier of the sharded fleet (the paper's OpenMP loop)."""
+    """The executor tiers of ``parallel_fleet_solve``: the thread tier is
+    one inline fleet, the process tier shards (the paper's OpenMP loop)."""
 
     def test_worker_count_invariance(self, rng):
         """The merged result is identical for any worker count (the paper's
@@ -118,13 +123,69 @@ class TestExecutor:
                                           base.result.eigenvectors)
             assert np.array_equal(rep.result.converged, base.result.converged)
 
+    @pytest.mark.skipif(not SHM_AVAILABLE,
+                        reason="multiprocessing.shared_memory unavailable")
     def test_chunk_metadata(self, rng):
         batch = random_symmetric_batch(10, 4, 3, rng=rng)
         rep = parallel_fleet_solve(batch, workers=3, num_starts=4, rng=2,
-                                   max_iters=100, executor="thread")
+                                   max_iters=100, executor="process",
+                                   steal=False)
         assert rep.workers == 3
+        assert len(rep.shard_sizes) == 3
         assert sum(rep.shard_sizes) == 10
         assert rep.seconds > 0
+
+    @pytest.mark.parametrize("stop_kind", ["none", "whole", "mask"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("adaptive", [False, True, "geap"])
+    def test_thread_tier_is_one_inline_fleet(self, adaptive, dtype,
+                                             stop_kind):
+        """``executor="thread"`` runs one fleet in the calling thread
+        whatever ``workers`` is, bit for bit the ``workers=1`` run."""
+        caller = threading.get_ident()
+
+        def run(batch, workers):
+            threads, polls = set(), [0]
+
+            def stop():
+                threads.add(threading.get_ident())
+                polls[0] += 1
+                if stop_kind == "none" or polls[0] < 5:
+                    return False
+                if stop_kind == "whole":
+                    return True
+                return np.arange(len(batch)) % 2 == 0
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # clamp
+                rep = parallel_fleet_solve(
+                    batch, workers=workers, num_starts=6, rng=3,
+                    alpha=1.0, tol=1e-9, max_iters=60, adaptive=adaptive,
+                    dtype=dtype, executor="thread", stop=stop)
+            assert threads == {caller}
+            return rep
+
+        for T in (1, 3, 9):
+            batch = random_symmetric_batch(T, 4, 3, rng=T)
+            one = run(batch, 1).result
+            for workers in (2, 3, 4):
+                rep = run(batch, workers)
+                assert rep.executor == "thread"
+                assert rep.workers == 1 and rep.shard_sizes == [T]
+                res = rep.result
+                for key in ("eigenvalues", "eigenvectors", "converged",
+                            "iterations", "failed", "shifts"):
+                    a, b = getattr(res, key), getattr(one, key)
+                    assert a.dtype == b.dtype, key
+                    assert a.tobytes() == b.tobytes(), key
+                assert res.sweeps == one.sweeps
+                assert res.compactions == one.compactions
+                assert res.stopped == one.stopped
+                if one.stopped_tensors is None:
+                    assert res.stopped_tensors is None
+                else:
+                    np.testing.assert_array_equal(res.stopped_tensors,
+                                                  one.stopped_tensors)
 
     def test_more_workers_than_tensors(self, rng):
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
@@ -163,9 +224,9 @@ class TestExecutor:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_auto_resolves_once_for_every_shard(self, monkeypatch):
         """``"auto"`` is resolved to canonical kernel names before any
-        shard starts: every thread shard's ``fleet_solve`` and the names
-        shipped to process workers are the same canonical pair, so no two
-        shards can run different kernels."""
+        shard starts: the names shipped to every process worker (and the
+        thread tier's one inline ``fleet_solve``) are the same canonical
+        pair, so no two shards can run different kernels."""
         import repro.engine.fleet as engine
         import repro.parallel.procfleet as procfleet
         from repro.kernels.plan import get_plan
@@ -182,16 +243,17 @@ class TestExecutor:
                             recording(engine.fleet_solve))
         monkeypatch.setattr(procfleet, "process_fleet_solve",
                             recording(procfleet.process_fleet_solve))
-        from repro.parallel.shm import SHM_AVAILABLE
-
         batch = random_symmetric_batch(4, 3, 3, rng=1)
         for executor in ("thread", "process") if SHM_AVAILABLE else ("thread",):
+            # stealing oversplits the process run into four shards
             parallel_fleet_solve(batch, workers=2, num_starts=4, rng=0,
                                  alpha=2.0, max_iters=20, variant="auto",
                                  backend="auto", executor=executor,
-                                 steal=False)
+                                 steal=True)
         plan = get_plan(3, 3, "auto", "auto")
-        assert len(seen) == (3 if SHM_AVAILABLE else 2)
+        # one inline fleet_solve, then one process_fleet_solve whose names
+        # every worker builds its plan from
+        assert len(seen) == (2 if SHM_AVAILABLE else 1)
         assert set(seen) == {(plan.variant, plan.backend)}
 
 

@@ -340,17 +340,6 @@ class TestCrossProcessTracing:
                                    executor="process")
         assert rep.workers_traced == 0
 
-    def test_thread_tier_also_counts_traced_workers(self, batch, starts):
-        from repro.instrument import recording
-
-        with recording() as rec:
-            rep = parallel_fleet_solve(batch, starts=starts, alpha=4.0,
-                                       max_iters=100, workers=2,
-                                       executor="thread")
-        assert rep.workers_traced == 2
-        assert rec.find("parallel_fleet_solve/worker0") is not None
-        assert rec.find("parallel_fleet_solve/worker1") is not None
-
     def test_corrupt_span_payload_warns_once_and_skips(self):
         from repro.instrument import Recorder
         from repro.parallel.fleet import _stitch_worker_traces

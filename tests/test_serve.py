@@ -716,8 +716,10 @@ class TestChunkBatcher:
     rows stay bit-identical to ``run_job`` alone."""
 
     def test_merged_jobs_equal_run_job_alone(self, tmp_path, monkeypatch):
-        specs = [_spec(5, 1), _spec(6, 2), _spec(7, 3, method="geap"),
-                 _spec(8, 4, method="geap")]
+        # a thread-tier job's worker count does not split the merge key:
+        # its chunks are one fleet either way
+        specs = [_spec(5, 1), _spec(6, 2, executor="thread", workers=2),
+                 _spec(7, 3, method="geap"), _spec(8, 4, method="geap")]
         refs = [_alone(spec, f"r{i}", tmp_path)
                 for i, spec in enumerate(specs)]
         jobs, sizes = _run_merged(tmp_path, specs, monkeypatch)
@@ -748,20 +750,20 @@ class TestChunkBatcher:
 
     def test_deadline_in_merged_round_spares_the_other_job(self, tmp_path,
                                                            monkeypatch):
-        import repro.serve.batcher as batcher_mod
+        import repro.core.config as deadline_clock
 
         late, other = _spec(5, 1, deadline_seconds=3600), _spec(6, 2)
         ref_late = _alone(late, "rl", tmp_path)
         ref_other = _alone(other, "ro", tmp_path)
-        # the batcher's clock passes the deadline at the third sweep poll
-        # of the first merged round, mid-solve
+        # the deadline hook's clock passes the deadline at the third sweep
+        # poll of the first merged round, mid-solve
         polls = [0]
 
         def now():
             polls[0] += 1
             return time.time() + (1e6 if polls[0] >= 3 else 0.0)
 
-        monkeypatch.setattr(batcher_mod, "time",
+        monkeypatch.setattr(deadline_clock, "time",
                             types.SimpleNamespace(time=now))
         (cut, kept), sizes = _run_merged(tmp_path, [late, other],
                                          monkeypatch)
@@ -775,7 +777,7 @@ class TestChunkBatcher:
 
     def test_deadline_after_lanes_retired_ends_done(self, tmp_path,
                                                     monkeypatch):
-        import repro.serve.batcher as batcher_mod
+        import repro.core.config as deadline_clock
 
         # one chunk each; with this shift tensors 5 converge by sweep 46,
         # tensors 6 by sweep 133
@@ -795,7 +797,7 @@ class TestChunkBatcher:
             polls[0] += 1
             return time.time() + (1e6 if polls[0] > done_at[early] else 0.0)
 
-        monkeypatch.setattr(batcher_mod, "time",
+        monkeypatch.setattr(deadline_clock, "time",
                             types.SimpleNamespace(time=now))
         jobs, sizes = _run_merged(tmp_path, specs, monkeypatch)
         assert sizes == [4]
@@ -867,7 +869,7 @@ class TestChunkBatcher:
 
     @pytest.mark.parametrize("extra", [
         {"method": "qrst"}, {"executor": "process"}, {"executor": "auto"},
-        {"workers": 2}, {"faults": {"0": "crash"}}])
+        {"executor": "process", "workers": 2}, {"faults": {"0": "crash"}}])
     def test_ineligible_jobs_never_enter_the_batcher(self, tmp_path, extra):
         batcher = ChunkBatcher()
 

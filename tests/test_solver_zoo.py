@@ -445,16 +445,31 @@ class TestCancellation:
         res = qrst(A, stop=lambda: True)
         assert res.stopped
 
-    def test_facade_deadline_reaches_geap(self):
-        A = random_symmetric_tensor(3, 4, rng=8)
-        report = repro.solve(A, method="geap", max_iters=500,
-                             deadline=time.time() - 1.0)
-        assert not report.result.converged
+    @pytest.mark.parametrize("with_stop", [False, True],
+                             ids=["deadline", "deadline+stop"])
+    @pytest.mark.parametrize("route", ["fleet", "geap", "qrst", "qrst_batch"])
+    def test_facade_deadline_reaches_geap(self, route, with_stop):
+        """A passed deadline stops every facade route at once, also when
+        a stop hook that never fires is passed with it."""
+        if route in ("geap", "qrst"):
+            problem, starts = random_symmetric_tensor(3, 4, rng=8), None
+        else:
+            problem, starts = random_symmetric_batch(4, 4, 3, rng=1), 8
+        extra = {"stop": lambda: False} if with_stop else {}
+        report = repro.solve(
+            problem, starts=starts, max_iters=500, tol=0.0,
+            method=None if route == "fleet" else route.split("_")[0],
+            deadline=time.time() - 1.0, **extra)
+        assert report.solver == ("fleet_solve" if route == "fleet"
+                                 else route)
+        assert not np.any(report.result.converged)
+        assert np.max(report.result.iterations) == 0
 
 
 class TestServeJobsCarryMethod:
-    def test_spec_roundtrip_and_validation(self):
+    def test_spec_roundtrip_and_validation(self, monkeypatch):
         from repro.serve.jobs import BadSpec, JobSpec
+        from repro.solvers import registry
 
         doc = {"tensors": {"kind": "random", "count": 2, "m": 3, "n": 4,
                            "seed": 0}}
@@ -466,3 +481,11 @@ class TestServeJobsCarryMethod:
             JobSpec.from_doc({**doc, "method": "auto"})
         with pytest.raises(BadSpec, match="method"):
             JobSpec.from_doc({**doc, "method": "bogus"})
+        # a registered method run_job has no chunk runner for is refused,
+        # not run as SS-HOPM lanes under its name
+        monkeypatch.setitem(registry._REGISTRY, "power2", SolverEntry(
+            "power2", "throwaway", single=lambda tensor, **kw: None,
+            batch=lambda batch, **kw: None))
+        assert "power2" in available_methods()
+        with pytest.raises(BadSpec, match="method"):
+            JobSpec.from_doc({**doc, "method": "power2"})

@@ -151,13 +151,21 @@ class TestSolverAttachment:
                                 rec.telemetry[0].to_dict())
 
     def test_worker_streams_namespaced_on_absorb(self):
-        from repro.parallel import parallel_fleet_solve
+        # the process tier's stitch path: each worker's serialized trace
+        # lands under ``workerN``, and so do its convergence streams
+        from repro.parallel.fleet import _stitch_worker_traces
 
         batch = random_symmetric_batch(4, 3, 4, rng=5)
-        with recording() as rec:
-            parallel_fleet_solve(batch, workers=2, num_starts=4,
-                                 alpha=1.0, max_iters=40, executor="thread")
-        names = sorted(t.name for t in rec.telemetry)
+        traces = {}
+        for wid in (0, 1):
+            worker = Recorder()
+            with worker.activate():
+                fleet_solve(batch.subset(np.arange(2 * wid, 2 * wid + 2)),
+                            num_starts=4, alpha=1.0, max_iters=40, rng=0)
+            traces[wid] = worker.to_dict()
+        parent = Recorder()
+        assert _stitch_worker_traces(parent, traces) == 2
+        names = sorted(t.name for t in parent.telemetry)
         assert names == ["worker0.fleet_solve", "worker1.fleet_solve"]
 
     def test_nan_columns_serialize(self):
