@@ -57,8 +57,8 @@ fleet-bench:  ## process tier vs one inline fleet gate (>=2x floor, O(result) IP
 serve-check:  ## serve control-plane latency budgets (admission, HTTP, drain)
 	python -m pytest -q benchmarks/bench_serve.py
 
-solver-check:  ## solver zoo: cross-method agreement + chaos faults on geap/qrst
-	python -m pytest -q tests/test_solver_zoo.py
+solver-check:  ## solver zoo: cross-method agreement + chaos faults on geap/qrst, and repro.solve's route table
+	python -m pytest -q tests/test_solver_zoo.py tests/test_solve_facade.py
 
 bench-smoke:  ## fast benchmark subset -> BENCH_<stamp>.json at repo root
 	python -m repro.bench.harness --timeout 120

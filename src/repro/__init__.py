@@ -17,7 +17,7 @@ Subpackages
 ``repro.solvers``
     The solver zoo: SS-HOPM (fixed and adaptive shift), GEAP
     (per-iteration adaptive shift), QRST (tensor QR with deflation), and
-    the method registry behind ``repro.solve(method=...)``.
+    the method names behind ``repro.solve(method=...)``.
 ``repro.engine``
     The fleet solve engine: whole-workload batched scheduling with lane
     retirement, active-set compaction, and plan-cached kernels.

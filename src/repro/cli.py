@@ -289,8 +289,9 @@ def _cmd_solve(args) -> int:
 
 
 def _solve_with_method(args, tensor) -> int:
-    """``repro solve --method geap/qrst/auto``: route through the facade's
-    registry instead of the SS-HOPM-specific resilient sweep runner."""
+    """``repro solve --method geap/qrst/auto``: route through
+    :func:`repro.solve` instead of the SS-HOPM-specific resilient sweep
+    runner."""
     import repro
     from repro.core import SolveConfig
     from repro.resilience import RetryPolicy
@@ -620,6 +621,8 @@ def _cmd_ckpt(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.solvers import METHODS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tensor eigenvalues via SS-HOPM (Ballard/Kolda/Plantenga "
@@ -699,9 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--method", choices=("sshopm", "geap", "qrst", "auto"),
+    p.add_argument("--method", choices=METHODS + ("auto",),
                    default="sshopm",
-                   help="solver method (repro.solvers registry); anything "
+                   help="solver method (repro.solvers.METHODS); anything "
                    "but sshopm routes through repro.solve and does not "
                    "support --checkpoint/--resume")
     p.add_argument("--retries", type=int, default=2,
@@ -750,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(communication cost model picks)")
     p.add_argument("--adaptive", action="store_true",
                    help="per-lane shift escalation on oscillation")
-    p.add_argument("--method", choices=("sshopm", "geap", "qrst", "auto"),
+    p.add_argument("--method", choices=METHODS + ("auto",),
                    default="sshopm",
                    help="solver method: geap runs the fleet with "
                    "per-lane projected-Hessian shifts, qrst runs the "
@@ -910,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="default per-request deadline applied when a "
                    "request doesn't set deadline_seconds")
-    p.add_argument("--method", choices=("sshopm", "geap", "qrst"),
+    p.add_argument("--method", choices=METHODS,
                    default="sshopm",
                    help="default solver method applied when a request "
                    "doesn't set one (jobs may not use 'auto': specs must "

@@ -72,10 +72,9 @@ class SolveConfig:
         ``stopped=True``).  The serving layer sets this per request; for
         ad-hoc runs prefer passing ``deadline=`` directly to
         :func:`~repro.parallel.fleet.parallel_fleet_solve`.
-    method : solver method name from the :mod:`repro.solvers` registry
-        (``"sshopm"`` / ``"geap"`` / ``"qrst"`` / ``"auto"`` / a
-        registered third-party name); ``None`` keeps the facade's legacy
-        shape routing.  Only :func:`repro.solve` reads it — the
+    method : solver method name, one of :data:`repro.solvers.METHODS`
+        (``"sshopm"`` / ``"geap"`` / ``"qrst"``) or ``"auto"``; ``None``
+        keeps the facade's legacy shape routing.  Only :func:`repro.solve` reads it — the
         per-solver entry points *are* a method and ignore the field.
     """
 

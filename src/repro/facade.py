@@ -2,16 +2,18 @@
 
 The solvers grew up separately: :func:`~repro.solvers.sshopm.sshopm` for
 one tensor and one start, :func:`~repro.solvers.adaptive.adaptive_sshopm`
-for the self-tuning shift, and the fleet engine
-(:func:`~repro.engine.fleet.fleet_solve`) for every multistart solve.
-Choosing among them is mechanical — it depends only on the *shape* of the
-request (one tensor or a batch? one start or many? fixed or adaptive
-shift? how many workers?) — so the facade makes the choice:
+for the self-tuning shift, :func:`~repro.solvers.geap.geap` and
+:func:`~repro.solvers.qrst.qrst` for the other two methods, and
+:func:`~repro.parallel.fleet.parallel_fleet_solve` (one fleet, or process
+shards of a batch) for every multistart solve.  Choosing among them is
+mechanical — it depends only on the method and the *shape* of the request
+(one tensor or a batch? one start or many? fixed or adaptive shift? how
+many workers?) — so the facade makes the choice:
 
 >>> import repro
 >>> report = repro.solve(tensor)                      # one start: sshopm
 >>> report = repro.solve(tensor, starts=64)           # fleet, batch of one
->>> report = repro.solve(batch, starts=32)            # fleet engine
+>>> report = repro.solve(batch, starts=32)            # one fleet
 >>> report.result.eigenpairs(...)                     # ResultProtocol
 
 Every report wraps a result satisfying
@@ -29,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import SolveConfig, deadline_stop
+from repro.core.config import SolveConfig, deadline_stop, resolve_option
 from repro.core.results import ResultProtocol
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
 
@@ -77,23 +79,17 @@ class SolveRequest:
 
     def solver_name(self) -> str:
         """Which solver :func:`solve` will route this request to."""
-        if self.method == "geap":
-            if self.is_batch or self.num_starts > 1:
-                # GEAP shares the fleet's lane machinery for multistart
-                base = ("parallel_fleet_solve"
-                        if self.is_batch and self.workers > 1
-                        else "fleet_solve")
-                return base + "+geap"
-            return "geap"
         if self.method == "qrst":
             return "qrst_batch" if self.is_batch else "qrst"
-        if self.method not in (None, "sshopm"):
-            return self.method
-        if self.is_batch or self.num_starts > 1:
-            if self.is_batch and self.workers > 1:
-                return "parallel_fleet_solve"
-            return "fleet_solve"
-        return "adaptive_sshopm" if self.adaptive else "sshopm"
+        if not (self.is_batch or self.num_starts > 1):
+            if self.method == "geap":
+                return "geap"
+            return "adaptive_sshopm" if self.adaptive else "sshopm"
+        # every multistart request runs parallel_fleet_solve; the name
+        # says whether it may shard (a batch with workers > 1)
+        name = ("parallel_fleet_solve" if self.is_batch and self.workers > 1
+                else "fleet_solve")
+        return name + "+geap" if self.method == "geap" else name
 
 
 @dataclass
@@ -103,8 +99,10 @@ class SolveReport:
     ``result`` satisfies :class:`~repro.core.results.ResultProtocol`;
     ``solver`` names the routed entry point (see
     :meth:`SolveRequest.solver_name`); ``seconds`` is end-to-end wall
-    time; ``extra`` carries solver-specific side products (e.g. the
-    :class:`~repro.parallel.fleet.FleetRunReport` of a parallel run).
+    time; ``extra`` carries solver-specific side products: the
+    :class:`~repro.parallel.fleet.FleetRunReport` of every fleet route,
+    the :class:`~repro.resilience.retry.RetryOutcome` of a GEAP or QRST
+    solve under ``config.retry``, else ``None``.
     """
 
     result: ResultProtocol
@@ -140,28 +138,11 @@ def _split_starts(request: SolveRequest):
     raise ValueError(f"starts must be an int or a 1-D/2-D array, got ndim={arr.ndim}")
 
 
-def _fold_deadline(opts: dict, config: SolveConfig | None) -> dict:
-    """Fold ``deadline=`` (or ``config.deadline``) into the solver's
-    ``stop=`` hook, composed with any ``stop=`` the caller passed."""
-    deadline = opts.pop("deadline", None)
-    if deadline is None and config is not None:
-        deadline = config.deadline
-    if deadline is not None:
-        opts["stop"] = deadline_stop(opts.get("stop"), deadline)
-    return opts
-
-
 # Options only the fleet drivers understand; uniform callers
 # (the CLI passes its full flag set regardless of method) may hand them
 # to geap/qrst, where they have no meaning and are dropped.
 _FLEET_ONLY_OPTS = ("variant", "backend", "compact_every", "scheme",
                     "executor", "events")
-
-
-def _strip_fleet_opts(opts: dict) -> dict:
-    for key in _FLEET_ONLY_OPTS:
-        opts.pop(key, None)
-    return opts
 
 
 def solve(
@@ -192,45 +173,48 @@ def solve(
     adaptive : self-tuning shift.  Routes a single-start request to
         :func:`~repro.solvers.adaptive.adaptive_sshopm` and turns on the
         fleet engine's per-lane shift escalation for batch requests.
-    method : solver method from the :mod:`repro.solvers` registry —
+    method : solver method, one of :data:`repro.solvers.METHODS` —
         ``"sshopm"`` (default behavior), ``"geap"`` (adaptive
         projected-Hessian shift; pass ``mode="min"`` for the concave
-        case), ``"qrst"`` (deterministic tensor QR with deflation), any
-        third-party registered name, or ``"auto"`` to route by problem
-        shape and spectrum target
-        (:func:`~repro.solvers.registry.choose_method`).  ``None``
-        defers to ``config.method`` and then the legacy shape routing.
-        See ``docs/solvers.md`` for the selection guide.
-    workers : route a batch request through
-        :func:`~repro.parallel.fleet.parallel_fleet_solve`; with
-        ``executor="process"`` (or ``"auto"``) in ``options`` it shards
-        the batch over this many zero-copy shared-memory worker
-        processes, while the default thread tier runs one fleet in the
-        calling thread (see ``docs/parallel.md`` — results stay
-        bit-for-bit identical to a single-worker run).
+        case), ``"qrst"`` (deterministic tensor QR with deflation) — or
+        ``"auto"`` to route by problem shape and spectrum target
+        (:func:`~repro.solvers.registry.choose_method`).  Any other name
+        raises :class:`~repro.solvers.registry.UnknownMethodError`.
+        ``None`` defers to ``config.method`` and then the legacy shape
+        routing.  See ``docs/solvers.md`` for the selection guide.
+    workers : shard a batch request over this many zero-copy
+        shared-memory worker processes when ``executor="process"`` (or
+        ``"auto"``) is in ``options``; the default thread tier runs one
+        fleet in the calling thread whatever ``workers`` is (see
+        ``docs/parallel.md`` — results stay bit-for-bit identical to a
+        single-worker run).
     **options : forwarded verbatim to the routed solver (e.g.
         ``variant=``/``backend=``, ``telemetry=``, ``guards=``,
-        ``scheme=``, ``dtype=``, ``compact_every=``).  On the fleet
-        paths ``variant=`` names the batched kernel variant and
+        ``scheme=``, ``dtype=``, ``compact_every=``, ``deadline=``).  On
+        the fleet paths ``variant=`` names the batched kernel variant and
         ``backend=`` the codegen backend compiling it (see
         :func:`repro.kernels.plan.get_plan`; ``"auto"`` on either takes
         the shape's race winner).
 
     Routing
     -------
-    ==========================  =======================================
-    request shape               solver
-    ==========================  =======================================
-    tensor, one start           ``sshopm`` / ``adaptive_sshopm``
-    tensor, many starts         ``fleet_solve`` (a batch of one)
-    batch (any starts)          ``fleet_solve``
-    batch, ``workers > 1``      ``parallel_fleet_solve``
-    ==========================  =======================================
+    ==============================  ===================================
+    request                         solver
+    ==============================  ===================================
+    tensor, one start               ``sshopm`` / ``adaptive_sshopm`` /
+                                    ``geap`` (``method="geap"``)
+    ``method="qrst"``               ``qrst`` / ``qrst_batch``
+    tensor with many starts, or     ``parallel_fleet_solve``: one fleet
+    a batch                         (a tensor runs as a batch of one),
+                                    or process shards of a batch;
+                                    GEAP rides the lanes
+    ==============================  ===================================
 
     Returns a :class:`SolveReport`; ``report.result`` satisfies
     :class:`~repro.core.results.ResultProtocol` whichever solver ran.
     """
-    from repro.core.config import resolve_option
+    from repro.instrument import gauge
+    from repro.solvers import METHODS, UnknownMethodError, choose_method
 
     request = SolveRequest(
         problem=problem,
@@ -245,224 +229,107 @@ def solve(
         options=dict(options),
     )
     method = resolve_option("method", method, config, None)
-    if method is not None:
-        from repro.solvers import choose_method, get_solver
-
-        if method == "auto":
-            method = choose_method(
-                problem.m,
-                problem.n,
-                batch=request.is_batch,
-                num_starts=request.num_starts,
-                spectrum=str(options.get("mode", "max")),
-            )
-        else:
-            get_solver(method)  # unknown names fail loudly up front
-        request.method = method
+    if method == "auto":
+        method = choose_method(
+            problem.m,
+            problem.n,
+            batch=request.is_batch,
+            num_starts=request.num_starts,
+            spectrum=str(options.get("mode", "max")),
+        )
+    elif method is not None and method not in METHODS:
+        raise UnknownMethodError(method)
+    request.method = method
     solver = request.solver_name()
-    count, explicit = _split_starts(request)
-    common = dict(alpha=alpha, tol=tol, max_iters=max_iters, config=config)
-    extra = None
-
-    from repro.instrument import gauge
-
     gauge("solve.method", request.method or "sshopm")
     gauge("solve.solver", solver)
 
     t0 = time.perf_counter()
-    if solver == "geap":
-        from repro.resilience.retry import run_with_retry
-        from repro.solvers.geap import geap
-
-        opts = _strip_fleet_opts(_fold_deadline(dict(options), config))
-        x0 = explicit
-        policy = config.retry if config is not None else None
-        if policy is not None:
-            outcome = run_with_retry(
-                lambda attempt: geap(
-                    problem, x0=x0 if attempt == 0 else None, tol=tol,
-                    max_iters=max_iters, config=config, rng=rng, **opts,
-                ),
-                policy, solver="geap", rng=rng,
-            )
-            result, extra = outcome.result, outcome
-        else:
-            result = geap(problem, x0=x0, tol=tol, max_iters=max_iters,
-                          config=config, rng=rng, **opts)
-    elif solver == "qrst":
-        from repro.resilience.retry import run_with_retry
-        from repro.solvers.qrst import qrst
-
-        opts = _strip_fleet_opts(_fold_deadline(dict(options), config))
-        opts.pop("mode", None)  # QRST has no spectrum-target switch
-        policy = config.retry if config is not None else None
-        if policy is not None:
-            outcome = run_with_retry(
-                lambda attempt: qrst(
-                    problem, tol=tol, max_iters=max_iters, config=config,
-                    rng=rng, **opts,
-                ),
-                policy, solver="qrst", rng=rng,
-            )
-            result, extra = outcome.result, outcome
-        else:
-            result = qrst(problem, tol=tol, max_iters=max_iters,
-                          config=config, rng=rng, **opts)
-    elif solver == "qrst_batch":
-        from repro.solvers.qrst import qrst_batch
-
-        opts = _strip_fleet_opts(_fold_deadline(dict(options), config))
-        opts.pop("mode", None)
-        result = qrst_batch(
-            problem, num_starts=count or 8, tol=tol, max_iters=max_iters,
-            rng=rng, config=config, **opts,
-        )
-    elif request.method not in (None, "sshopm", "geap", "qrst"):
-        result = _solve_custom_entry(request, count, tol, max_iters)
-    elif solver in ("sshopm", "adaptive_sshopm"):
-        x0 = explicit if explicit is not None else None
-        if solver == "adaptive_sshopm":
-            from repro.solvers.adaptive import adaptive_sshopm
-
-            opts = dict(options)
-            # adaptive picks its own shift trajectory; alpha seeds it as tau
-            opts.pop("variant", None)
-            result = adaptive_sshopm(
-                problem, x0=x0, tol=tol, max_iters=max_iters,
-                config=config, rng=rng, **opts,
-            )
-        else:
-            from repro.solvers.sshopm import sshopm
-
-            result = sshopm(problem, x0=x0, rng=rng, **common, **options)
+    if "fleet_solve" in solver:
+        extra = _solve_fleet(request)
+        result = extra.result
     else:
-        # every multistart solve runs on the fleet; a single tensor with
-        # many starts runs as a batch of one
-        batch = (problem if request.is_batch
-                 else SymmetricTensorBatch.from_tensors([problem]))
-        fleet_opts = dict(options)
-        if request.method == "geap":
-            # GEAP rides the fleet lanes with per-sweep projected shifts
-            if fleet_opts.pop("mode", "max") != "max":
-                raise ValueError(
-                    "method='geap' with mode='min' is single-start only; "
-                    "drop starts= or run per-start geap(mode='min') calls"
-                )
-            adaptive = "geap"
-        if solver.startswith("parallel_fleet_solve"):
-            from repro.parallel.fleet import parallel_fleet_solve
-
-            kwargs = dict(
-                workers=workers, starts=explicit, rng=rng,
-                adaptive=adaptive, **common, **fleet_opts,
-            )
-            if count is not None and explicit is None:
-                kwargs["num_starts"] = count
-            report = parallel_fleet_solve(batch, **kwargs)
-            result, extra = report.result, report
-        else:
-            from repro.engine.fleet import fleet_solve
-            from repro.instrument.events import (
-                EventSpool,
-                current_spool,
-                use_spool,
-            )
-
-            # executor-tier options are meaningless without sharding
-            for key in ("executor", "steal", "start_method"):
-                fleet_opts.pop(key, None)
-            # the engine speaks stop= only; fold a deadline into the hook
-            _fold_deadline(fleet_opts, config)
-            # the engine takes no events= keyword; the facade opens the
-            # spool so engine-level events (retirements, compactions,
-            # plan-cache traffic) still stream for single-shard runs
-            events_path = fleet_opts.pop("events", None)
-            if events_path is None and config is not None:
-                events_path = config.events
-            kwargs = dict(
-                starts=explicit, rng=rng, adaptive=adaptive,
-                **common, **fleet_opts,
-            )
-            if count is not None and explicit is None:
-                kwargs["num_starts"] = count
-            if events_path and current_spool() is None:
-                T = len(batch)
-                V = count if count is not None else (
-                    1 if explicit is None or explicit.ndim == 1
-                    else explicit.shape[0])
-                with EventSpool.open(events_path, src="parent") as spool, \
-                        use_spool(spool):
-                    spool.emit("run_start", tensors=T, lanes=T * V,
-                               workers=1, shards=1, executor="inline",
-                               ranges=[[0, T]], starts_per_tensor=V)
-                    t_run = time.perf_counter()
-                    result = fleet_solve(batch, **kwargs)
-                    spool.emit("run_finish",
-                               seconds=time.perf_counter() - t_run,
-                               requeues=0, failed=0)
-            else:
-                result = fleet_solve(batch, **kwargs)
-    seconds = time.perf_counter() - t0
-
+        result, extra = _solve_direct(request, solver)
     return SolveReport(
         result=result,
         solver=solver,
-        seconds=seconds,
+        seconds=time.perf_counter() - t0,
         request=request,
         extra=extra,
     )
 
 
-def _solve_custom_entry(request: SolveRequest, count, tol, max_iters):
-    """Route a third-party registered method through its
-    :class:`~repro.solvers.registry.SolverEntry` callables.
+def _solve_fleet(request: SolveRequest):
+    """Every multistart solve: SS-HOPM or GEAP lanes on
+    :func:`~repro.parallel.fleet.parallel_fleet_solve`, which opens the
+    event spool, adds the deadline to the stop hook, and runs one inline
+    fleet or shards a batch over processes."""
+    from repro.parallel.fleet import parallel_fleet_solve
 
-    Batch requests use ``entry.batch`` when provided; otherwise the
-    facade falls back to running ``entry.single`` per tensor and packing
-    one result slot per tensor into a
-    :class:`~repro.core.results.FleetResult` (reading the conventional
-    ``eigenvalue`` / ``eigenvector`` / ``converged`` / ``iterations``
-    attributes, NaN where absent).
-    """
-    from repro.solvers import get_solver
-
-    entry = get_solver(request.method)
-    config, rng = request.config, request.rng
-    opts = _fold_deadline(dict(request.options), config)
-    common = dict(tol=tol, max_iters=max_iters, config=config, rng=rng)
-    if not request.is_batch:
-        if entry.single is None:
+    count, explicit = _split_starts(request)
+    opts = dict(request.options)
+    adaptive = request.adaptive
+    if request.method == "geap":
+        # GEAP rides the fleet lanes with per-sweep projected shifts
+        if opts.pop("mode", "max") != "max":
             raise ValueError(
-                f"solver {request.method!r} is batch-only; pass a "
-                "SymmetricTensorBatch"
+                "method='geap' with mode='min' is single-start only; "
+                "drop starts= or run per-start geap(mode='min') calls"
             )
-        return entry.single(request.problem, **common, **opts)
-    if entry.batch is not None:
-        return entry.batch(request.problem, num_starts=count or 8,
-                           **common, **opts)
-    if entry.single is None:
-        raise ValueError(f"solver {request.method!r} registered no callables")
-    from repro.core.results import FleetResult
-
-    batch = request.problem
-    T, n = len(batch), batch.n
-    eigenvalues = np.full((T, 1), np.nan)
-    eigenvectors = np.full((T, 1, n), np.nan)
-    converged = np.zeros((T, 1), dtype=bool)
-    iterations = np.zeros((T, 1), dtype=np.int64)
-    failed = np.zeros((T, 1), dtype=bool)
-    sweeps = 0
-    for t, tensor in enumerate(batch):
-        r = entry.single(tensor, **common, **opts)
-        eigenvalues[t, 0] = float(getattr(r, "eigenvalue", np.nan))
-        vec = getattr(r, "eigenvector", None)
-        if vec is not None:
-            eigenvectors[t, 0] = np.asarray(vec, dtype=np.float64)
-        converged[t, 0] = bool(np.all(getattr(r, "converged", False)))
-        iterations[t, 0] = int(getattr(r, "iterations", 0))
-        sweeps = max(sweeps, int(getattr(r, "iterations", 0)))
-    return FleetResult(
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-        converged=converged, iterations=iterations, sweeps=sweeps,
-        failed=failed, shifts=None, variant=request.method, tensors=batch,
+        adaptive = "geap"
+    if count is not None and explicit is None:
+        opts["num_starts"] = count
+    problem = request.problem
+    if not request.is_batch:  # a single tensor never shards
+        problem = SymmetricTensorBatch.from_tensors([problem])
+    return parallel_fleet_solve(
+        problem, workers=request.workers if request.is_batch else 1,
+        alpha=request.alpha, tol=request.tol, max_iters=request.max_iters,
+        starts=explicit, rng=request.rng, config=request.config,
+        adaptive=adaptive, **opts,
     )
+
+
+def _solve_direct(request: SolveRequest, solver: str):
+    """Single-start SS-HOPM/adaptive/GEAP and QRST; returns
+    ``(result, extra)``.  A deadline reaches each as its ``stop=`` hook,
+    and GEAP/QRST rerun under ``config.retry`` (``extra`` is then the
+    :class:`~repro.resilience.retry.RetryOutcome`)."""
+    from repro.solvers import adaptive_sshopm, geap, qrst, qrst_batch, sshopm
+
+    problem, config, rng = request.problem, request.config, request.rng
+    count, x0 = _split_starts(request)
+    opts = dict(request.options)
+    deadline = resolve_option("deadline", opts.pop("deadline", None),
+                              config, None)
+    opts["stop"] = deadline_stop(opts.get("stop"), deadline)
+    common = dict(tol=request.tol, max_iters=request.max_iters,
+                  config=config, rng=rng)
+    if solver == "sshopm":
+        return sshopm(problem, x0=x0, alpha=request.alpha, **common,
+                      **opts), None
+    if solver == "adaptive_sshopm":
+        # the shift is derived each step (alpha is not passed), and
+        # variant= names a fleet kernel
+        opts.pop("variant", None)
+        return adaptive_sshopm(problem, x0=x0, **common, **opts), None
+    for key in _FLEET_ONLY_OPTS:
+        opts.pop(key, None)
+    if solver == "geap":
+        def attempt(k):
+            return geap(problem, x0=x0 if k == 0 else None, **common, **opts)
+    else:
+        opts.pop("mode", None)  # QRST has no spectrum-target switch
+        if solver == "qrst_batch":
+            return qrst_batch(problem, num_starts=count or 8, **common,
+                              **opts), None
+
+        def attempt(k):
+            return qrst(problem, **common, **opts)
+    policy = config.retry if config is not None else None
+    if policy is None:
+        return attempt(0), None
+    from repro.resilience.retry import run_with_retry
+
+    outcome = run_with_retry(attempt, policy, solver=solver, rng=rng)
+    return outcome.result, outcome

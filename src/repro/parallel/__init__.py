@@ -26,7 +26,6 @@ from repro.parallel.partition import (
     PartitionError,
     chunk_sizes,
     cost_weighted_partition,
-    interleaved_partition,
     static_partition,
 )
 from repro.parallel.shm import (
@@ -52,7 +51,6 @@ __all__ = [
     "chunk_sizes",
     "cost_weighted_partition",
     "estimate_fleet_comm",
-    "interleaved_partition",
     "parallel_fleet_solve",
     "predict_cpu_sshopm",
     "speedup_curve",

@@ -199,6 +199,7 @@ def parallel_fleet_solve(
     events: str | None = None,
     stop=None,
     deadline: float | None = None,
+    **engine,
 ) -> FleetRunReport:
     """Run ``tensors`` as one fleet, or shard them over ``workers``
     processes, one fleet per shard.
@@ -208,9 +209,9 @@ def parallel_fleet_solve(
     shares one starting-vector set, so the merged ``(T, V)`` result is
     bit-for-bit a single fleet run with the same starts (shard
     boundaries change lane scheduling, not arithmetic).  Per-tensor
-    ``(T, V, n)`` starts need ``workers=1`` (with more they raise
-    ``ValueError`` before any worker starts), and a ``stop`` returning a
-    ``(T,)`` mask needs one fleet: ``workers=1`` or the thread tier.
+    ``(T, V, n)`` starts and a ``stop`` returning a ``(T,)`` mask need
+    one fleet: ``workers=1`` or the thread tier (a sharded process run
+    refuses such starts with ``ValueError`` before any worker starts).
     The tier-specific ones:
 
     executor : ``"thread"`` (default: one fleet in the calling thread,
@@ -243,6 +244,10 @@ def parallel_fleet_solve(
         on every tier — process workers check it directly, so a deadline
         holds even if the parent thread stalls.  Also settable via
         ``SolveConfig.deadline``.
+    **engine : the other :func:`~repro.engine.fleet.fleet_solve`
+        keywords (``counter=``, ``plan=``, ``telemetry=``, ``tau=``),
+        forwarded to the one inline fleet; a sharded process run refuses
+        them with ``TypeError``.
     """
     from repro.engine.fleet import fleet_solve
     from repro.kernels.plan import resolve_names
@@ -280,12 +285,9 @@ def parallel_fleet_solve(
         # explicit starts pass through: fleet_solve validates them
         starts = starting_vectors(num_starts, tensors.n, scheme=scheme,
                                   rng=rng, dtype=dtype)
-    elif np.ndim(starts) == 3 and workers > 1:
-        # shards take tensor slices but every shard gets the whole starts
-        # array, so per-tensor starts would reach workers misshapen
-        raise ValueError(
-            f"per-tensor (T, V, n) starts need a single-shard run, got "
-            f"workers={workers}")
+    elif np.ndim(starts) not in (2, 3):
+        raise ValueError(f"starts must have shape (V, n) or (T, V, n), "
+                         f"got {np.shape(starts)}")
     V = np.shape(starts)[-2]
 
     if executor == "auto":
@@ -301,6 +303,17 @@ def parallel_fleet_solve(
                 "multiprocessing.shared_memory unavailable; falling back "
                 "to the thread executor", RuntimeWarning, stacklevel=2)
             executor = "thread"
+    sharded = executor == "process" and workers > 1
+    if sharded and np.ndim(starts) == 3:
+        # shards take tensor slices but every shard gets the whole starts
+        # array, so per-tensor starts would reach workers misshapen
+        raise ValueError(
+            f"per-tensor (T, V, n) starts need a single-shard run, got "
+            f"workers={workers} on the process tier")
+    if sharded and engine:
+        raise TypeError(
+            f"a sharded process run takes no {'/'.join(sorted(engine))} "
+            f"keyword: those reach only the one inline fleet")
 
     parent = current_recorder()
     t0 = time.perf_counter()
@@ -314,7 +327,7 @@ def parallel_fleet_solve(
                     EventSpool.open(events_path, src="parent"))
                 _stack.enter_context(use_spool(spool))
 
-        if executor == "process" and workers > 1:
+        if sharded:
             return _process_tier(
                 tensors, workers, starts, alpha=alpha, tol=tol,
                 max_iters=max_iters, variant=variant, backend=backend,
@@ -332,7 +345,7 @@ def parallel_fleet_solve(
             tensors, alpha=alpha, tol=tol, max_iters=max_iters,
             starts=starts, variant=variant, backend=backend, dtype=dtype,
             config=config, adaptive=adaptive, compact_every=compact_every,
-            guards=guards, stop=stop,
+            guards=guards, stop=stop, **engine,
         )
         elapsed = time.perf_counter() - t0
         _emit("shard_finish", shard=0, seconds=elapsed, sweeps=res.sweeps)

@@ -2,8 +2,8 @@
 
 The paper's CPU parallelization is a single ``omp for`` over the input
 tensors (Section V-E); these helpers reproduce OpenMP's static schedule
-(contiguous near-equal chunks) plus an interleaved variant, so the executor
-and its tests can verify both coverage and balance.
+(contiguous near-equal chunks), so the executor and its tests can verify
+both coverage and balance.
 
 :func:`cost_weighted_partition` generalizes the static schedule to
 per-item cost weights (the fleet feeds it kernel-plan flop estimates):
@@ -25,7 +25,6 @@ __all__ = [
     "PartitionError",
     "chunk_sizes",
     "cost_weighted_partition",
-    "interleaved_partition",
     "static_partition",
 ]
 
@@ -102,10 +101,3 @@ def cost_weighted_partition(weights, workers: int) -> list[range]:
     bounds.append(total)
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
-
-def interleaved_partition(total: int, workers: int) -> list[np.ndarray]:
-    """Cyclic index assignment (OpenMP ``schedule(static, 1)``): worker ``w``
-    gets indices ``w, w+workers, w+2*workers, ...``."""
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    return [np.arange(w, total, workers) for w in range(workers)]

@@ -44,6 +44,7 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
 )
 from repro.resilience.faults import FaultPlan
+from repro.solvers.registry import METHODS
 from repro.symtensor.random import random_symmetric_batch
 from repro.symtensor.storage import SymmetricTensorBatch
 from repro.util.combinatorics import num_unique_entries
@@ -55,10 +56,6 @@ _log = get_logger("serve.jobs")
 
 #: Terminal job states (``done_event`` is set exactly when one is reached).
 TERMINAL = frozenset({"done", "failed", "interrupted", "deadline"})
-
-#: The methods :func:`run_job` can run (``repro serve --method``'s
-#: choices): SS-HOPM and GEAP fleet chunks, QRST batch chunks.
-METHODS = ("sshopm", "geap", "qrst")
 
 
 class BadSpec(ValueError):
@@ -76,11 +73,10 @@ class JobSpec:
     Both reconstruct the identical batch on resume, which the checkpoint
     layer verifies by fingerprint.
 
-    ``method`` is one of :data:`METHODS` — never ``"auto"`` (a job spec
-    must be reproducible, so routing happens at submission time) nor a
-    third-party registered method, which ``run_job`` has no chunk
-    runner for.  A checkpoint written under one method is stale for any
-    other.
+    ``method`` is one of :data:`repro.solvers.METHODS`, run as SS-HOPM
+    or GEAP fleet chunks or QRST batch chunks — never ``"auto"`` (a job
+    spec must be reproducible, so routing happens at submission time).
+    A checkpoint written under one method is stale for any other.
     """
 
     tensors: dict

@@ -47,6 +47,7 @@ def adaptive_sshopm(
     *,
     telemetry: bool | None = None,
     guards=None,
+    stop=None,
 ) -> SSHOPMResult:
     """SS-HOPM with the GEAP adaptive shift.
 
@@ -92,4 +93,4 @@ def adaptive_sshopm(
             return min(0.0, -(tau + float(evals[-1])))
 
     return _shifted_power_loop(run, x, full_hessian_shift,
-                               negate=mode == "min")
+                               negate=mode == "min", stop=stop)

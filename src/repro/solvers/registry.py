@@ -1,46 +1,28 @@
-"""The solver registry: ``repro.solve(method=...)`` routes through here.
+"""The method names behind ``repro.solve(method=...)``.
 
-Every eigensolver in the package is a :class:`SolverEntry` registered
-under a short method name (``"sshopm"``, ``"geap"``, ``"qrst"``).  The
-facade looks the requested method up with :func:`get_solver` and calls
-the entry's ``single`` (one tensor) or ``batch`` (a
-:class:`~repro.symtensor.storage.SymmetricTensorBatch`) callable;
-``method="auto"`` picks a name via :func:`choose_method` first.
-
-Third-party solvers plug in the same way (see ``docs/solvers.md``)::
-
-    from repro.solvers import SolverEntry, register_solver
-
-    register_solver("power2", SolverEntry(
-        name="power2", summary="my experimental two-step power method",
-        single=my_solver_fn,          # (tensor, **kwargs) -> ResultProtocol
-    ))
-    report = repro.solve(tensor, method="power2")
-
-Entries must return objects satisfying
-:class:`~repro.core.results.ResultProtocol` (``.converged``,
-``.telemetry``, ``.eigenpairs()``), which is what every downstream
-consumer — dedup, serve rows, the bench harness — reads.
+:data:`METHODS` lists the three built-in solvers; :func:`repro.solve`
+routes each of them by the shape of the request (see ``docs/api.md``),
+and ``method="auto"`` picks a name via :func:`choose_method` first.
+Serve job specs and the CLI's ``--method`` flags accept the same names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 __all__ = [
     "AUTO_RULES",
-    "SolverEntry",
+    "METHODS",
     "UnknownMethodError",
     "available_methods",
     "choose_method",
-    "get_solver",
-    "register_solver",
 ]
+
+#: The built-in solver methods: the paper's fixed-shift SS-HOPM, GEAP's
+#: adaptive projected-Hessian shift, and QRST's tensor QR with deflation.
+METHODS = ("sshopm", "geap", "qrst")
 
 
 class UnknownMethodError(ValueError):
-    """A ``method=`` name with no registered solver behind it."""
+    """A ``method=`` name that is neither in :data:`METHODS` nor ``"auto"``."""
 
     def __init__(self, name: str):
         super().__init__(
@@ -50,72 +32,9 @@ class UnknownMethodError(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class SolverEntry:
-    """One routable eigensolver.
-
-    Fields
-    ------
-    name : registry key, the ``method=`` spelling.
-    summary : one line for humans (``repro solve --method help``-style
-        listings and docs).
-    single : callable solving one :class:`SymmetricTensor`
-        (``(tensor, **kwargs) -> ResultProtocol``); ``None`` if the
-        solver is batch-only.
-    batch : callable solving a whole batch; ``None`` routes batch
-        requests through the facade's generic per-tensor fallback for
-        custom entries (built-in methods all provide one).
-    modes : spectrum targets the solver serves — ``"max"`` (convex /
-        local maxima), ``"min"`` (concave / local minima), ``"extreme"``
-        (both ends without a mode switch).
-    deterministic : the solver does not consume starting vectors (QRST:
-        its iteration is seeded by the tensor itself, so ``starts=``
-        only sizes the result's eigenpair slots).
-    """
-
-    name: str
-    summary: str
-    single: Callable | None = None
-    batch: Callable | None = None
-    modes: tuple[str, ...] = ("max",)
-    deterministic: bool = False
-
-
-_REGISTRY: dict[str, SolverEntry] = {}
-
-
-def register_solver(name: str, entry: SolverEntry, *, replace: bool = False) -> SolverEntry:
-    """Register ``entry`` under ``name``; returns the entry.
-
-    Re-registering an existing name raises :class:`ValueError` unless
-    ``replace=True`` — accidental shadowing of a built-in solver should
-    be loud.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"solver name must be a non-empty string, got {name!r}")
-    if name == "auto":
-        raise ValueError("'auto' is the routing pseudo-method and cannot be registered")
-    if entry.single is None and entry.batch is None:
-        raise ValueError(f"solver {name!r} must provide a single= or batch= callable")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"solver {name!r} is already registered; pass replace=True to override"
-        )
-    _REGISTRY[name] = entry
-    return entry
-
-
 def available_methods() -> tuple[str, ...]:
-    """Registered method names (sorted), plus the ``"auto"`` router."""
-    return tuple(sorted(_REGISTRY)) + ("auto",)
-
-
-def get_solver(name: str) -> SolverEntry:
-    """The entry registered under ``name`` (:class:`UnknownMethodError` if none)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownMethodError(name) from None
+    """The method names (sorted), plus the ``"auto"`` router."""
+    return tuple(sorted(METHODS)) + ("auto",)
 
 
 #: The ``method="auto"`` heuristic table, fed by
@@ -158,7 +77,7 @@ def choose_method(
     """
     if batch:
         return "sshopm"
-    if spectrum == "min" and "min" in get_solver("geap").modes:
+    if spectrum == "min":
         return "geap"
     if n ** m <= AUTO_QRST_DENSE_LIMIT and num_starts <= 8:
         return "qrst"

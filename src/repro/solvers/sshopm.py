@@ -120,6 +120,7 @@ def sshopm(
     *,
     telemetry: bool | None = None,
     guards=None,
+    stop=None,
 ) -> SSHOPMResult:
     """Run SS-HOPM (Figure 1) from one starting vector.
 
@@ -154,6 +155,9 @@ def sshopm(
         on NaN/Inf, a collapsed update, lambda oscillation, or stalled
         progress, instead of the legacy freeze-and-return-unconverged
         behavior (default: off).
+    stop : optional zero-argument callable polled once per iteration;
+        when truthy the run returns its current state unconverged — the
+        hook a ``deadline=`` of :func:`repro.solve` rides on.
 
     Notes
     -----
@@ -171,7 +175,8 @@ def sshopm(
         tel_meta={"alpha": alpha}, counter=counter,
     )
     x = start_vector(x0, tensor.n, run.rng)
-    return _shifted_power_loop(run, x, lambda _: alpha, negate=alpha < 0)
+    return _shifted_power_loop(run, x, lambda _: alpha, negate=alpha < 0,
+                               stop=stop)
 
 
 def _shifted_power_loop(

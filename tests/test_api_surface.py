@@ -34,7 +34,6 @@ SIGNATURES = [
     "repro.solvers.qrst",
     "repro.solvers.qrst_batch",
     "repro.solvers.projected_shift",
-    "repro.solvers.register_solver",
     "repro.solvers.available_methods",
     "repro.solvers.choose_method",
     "repro.engine.fleet_solve",
@@ -64,7 +63,6 @@ DATACLASSES = [
     "repro.SolveReport",
     "repro.core.FleetResult",
     "repro.core.SolveConfig",
-    "repro.solvers.SolverEntry",
     "repro.solvers.QRSTResult",
     "repro.kernels.codegen.EmittedKernel",
     "repro.kernels.plan.KernelPlan",

@@ -343,3 +343,35 @@ class TestRemovedDrivers:
 
         starts = starting_vectors(4, 3, rng=0)
         assert np.allclose(np.linalg.norm(starts, axis=1), 1.0)
+
+
+class TestOneRouteTable:
+    """``repro.solve`` routes its three built-in methods from one table:
+    the plug-in solver registry, its per-tensor fallback engine and the
+    partition helper no driver used are gone."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.solvers", "register_solver"),
+        ("repro.solvers", "SolverEntry"),
+        ("repro.solvers", "get_solver"),
+        ("repro.solvers.registry", "register_solver"),
+        ("repro.solvers.registry", "SolverEntry"),
+        ("repro.solvers.registry", "get_solver"),
+        ("repro.solvers.registry", "_REGISTRY"),
+        ("repro.facade", "_solve_custom_entry"),
+        ("repro.parallel", "interleaved_partition"),
+        ("repro.parallel.partition", "interleaved_partition"),
+    ])
+    def test_name_removed(self, module, name):
+        assert not hasattr(import_module(module), name)
+
+    def test_unlisted_method_is_unknown(self, tensor):
+        import repro
+        from repro.core import SolveConfig
+        from repro.solvers import METHODS, UnknownMethodError
+
+        assert METHODS == ("sshopm", "geap", "qrst")
+        with pytest.raises(UnknownMethodError, match="power2"):
+            repro.solve(tensor, method="power2")
+        with pytest.raises(UnknownMethodError, match="power2"):
+            repro.solve(tensor, config=SolveConfig(method="power2"))

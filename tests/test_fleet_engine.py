@@ -399,14 +399,23 @@ class TestParallel:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_per_tensor_starts_refuse_more_than_one_shard(self, small_batch,
                                                          executor):
+        """Per-tensor starts need one fleet: the thread tier runs one
+        whatever ``workers`` is, so only a sharded process run refuses
+        them."""
         starts = np.stack([shared_starts(4, small_batch.n, seed=t)
                            for t in range(len(small_batch))])
-        with pytest.raises(ValueError, match="single-shard"):
-            parallel_fleet_solve(small_batch, workers=2, starts=starts,
-                                 executor=executor)
         one = parallel_fleet_solve(small_batch, workers=1, starts=starts,
                                    executor=executor, max_iters=50)
         assert one.result.eigenvalues.shape == (len(small_batch), 4)
+        if executor == "process":
+            with pytest.raises(ValueError, match="single-shard"):
+                parallel_fleet_solve(small_batch, workers=2, starts=starts,
+                                     executor=executor)
+        else:
+            two = parallel_fleet_solve(small_batch, workers=2, starts=starts,
+                                       executor=executor, max_iters=50)
+            assert (two.workers, two.executor) == (1, "thread")
+            assert_rows_equal(two.result, one.result)
 
 
 _ARRAYS = ("eigenvalues", "eigenvectors", "converged", "iterations",

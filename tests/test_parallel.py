@@ -18,7 +18,6 @@ from repro.parallel.partition import (
     PartitionError,
     chunk_sizes,
     cost_weighted_partition,
-    interleaved_partition,
     static_partition,
 )
 from repro.symtensor.random import random_symmetric_batch
@@ -42,19 +41,11 @@ class TestPartition:
         assert sum(sizes) == total
         assert max(sizes) - min(sizes) <= 1
 
-    @given(st.integers(0, 200), st.integers(1, 8))
-    def test_interleaved_covers_everything_once(self, total, workers):
-        parts = interleaved_partition(total, workers)
-        seen = sorted(i for p in parts for i in p)
-        assert seen == list(range(total))
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             static_partition(5, 0)
         with pytest.raises(ValueError):
             chunk_sizes(-1, 3)
-        with pytest.raises(ValueError):
-            interleaved_partition(5, 0)
 
     def test_empty_shards_raise_typed_error(self):
         with pytest.raises(PartitionError, match="clamp workers"):

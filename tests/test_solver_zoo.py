@@ -9,7 +9,7 @@ on problems with known spectra:
 * ``n = 2`` tensors, where every real eigenpair is found exactly by
   polynomial root-finding (:func:`repro.core.exact_eigenpairs_n2`).
 
-Plus the registry/routing contract behind ``repro.solve(method=...)``,
+Plus the method names and routing behind ``repro.solve(method=...)``,
 the ``method="auto"`` heuristic, chaos-fault behavior, and cooperative
 cancellation — the ``make solver-check`` gate runs this file.
 """
@@ -26,18 +26,15 @@ from repro.kernels.dispatch import get_kernels
 from repro.resilience.faults import FaultPlan, nan_injecting_pair
 from repro.resilience.guards import SolveFailure
 from repro.resilience.retry import RetryPolicy
+from repro.core.config import SolveConfig
 from repro.solvers import (
-    SolverEntry,
     UnknownMethodError,
     available_methods,
     choose_method,
     geap,
-    get_solver,
     projected_shift,
     qrst,
     qrst_batch,
-    register_solver,
-    sshopm,
     suggested_shift,
 )
 from repro.symtensor import (
@@ -113,49 +110,10 @@ class TestRegistry:
             assert name in methods
         assert methods[-1] == "auto"
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(UnknownMethodError, match="no_such"):
-            get_solver("no_such")
-
     def test_facade_rejects_unknown_method(self):
         A = random_symmetric_tensor(3, 3, rng=0)
         with pytest.raises(UnknownMethodError):
             repro.solve(A, method="no_such")
-
-    def test_auto_cannot_be_registered(self):
-        with pytest.raises(ValueError, match="auto"):
-            register_solver("auto", SolverEntry(
-                name="auto", summary="nope", single=sshopm))
-
-    def test_entry_needs_a_callable(self):
-        with pytest.raises(ValueError, match="single= or batch="):
-            register_solver("hollow", SolverEntry(name="hollow", summary=""))
-
-    def test_duplicate_registration_is_loud(self):
-        with pytest.raises(ValueError, match="replace=True"):
-            register_solver("sshopm", get_solver("sshopm"))
-        # replace=True round-trips the same entry without complaint
-        entry = get_solver("sshopm")
-        assert register_solver("sshopm", entry, replace=True) is entry
-
-    def test_custom_solver_routes_through_facade(self):
-        calls = {}
-
-        def toy(tensor, **kwargs):
-            calls["kwargs"] = kwargs
-            return sshopm(tensor, alpha=5.0, rng=0, tol=kwargs.get("tol"),
-                          max_iters=kwargs.get("max_iters"))
-
-        name = "toy-zoo-test"
-        if name not in available_methods():
-            register_solver(name, SolverEntry(
-                name=name, summary="registry smoke solver", single=toy))
-        A = random_symmetric_tensor(3, 3, rng=1)
-        report = repro.solve(A, method=name, tol=1e-10, max_iters=300)
-        assert report.solver == name
-        assert report.request.method == name
-        assert isinstance(report.result, ResultProtocol)
-        assert calls["kwargs"]["tol"] == 1e-10
 
 
 class TestResultProtocol:
@@ -447,29 +405,40 @@ class TestCancellation:
 
     @pytest.mark.parametrize("with_stop", [False, True],
                              ids=["deadline", "deadline+stop"])
-    @pytest.mark.parametrize("route", ["fleet", "geap", "qrst", "qrst_batch"])
+    @pytest.mark.parametrize("route", ["sshopm", "adaptive", "fleet", "geap",
+                                       "qrst", "qrst_batch"])
     def test_facade_deadline_reaches_geap(self, route, with_stop):
         """A passed deadline stops every facade route at once, also when
         a stop hook that never fires is passed with it."""
-        if route in ("geap", "qrst"):
+        if route in ("sshopm", "adaptive", "geap", "qrst"):
             problem, starts = random_symmetric_tensor(3, 4, rng=8), None
         else:
             problem, starts = random_symmetric_batch(4, 4, 3, rng=1), 8
         extra = {"stop": lambda: False} if with_stop else {}
         report = repro.solve(
             problem, starts=starts, max_iters=500, tol=0.0,
-            method=None if route == "fleet" else route.split("_")[0],
+            method=route.split("_")[0] if "qrst" in route or route == "geap"
+            else None, adaptive=route == "adaptive",
             deadline=time.time() - 1.0, **extra)
-        assert report.solver == ("fleet_solve" if route == "fleet"
-                                 else route)
+        assert report.solver == {"fleet": "fleet_solve",
+                                 "adaptive": "adaptive_sshopm"}.get(route,
+                                                                    route)
         assert not np.any(report.result.converged)
         assert np.max(report.result.iterations) == 0
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_config_deadline_reaches_single_start(self, adaptive):
+        """``SolveConfig.deadline`` stops single-start SS-HOPM too."""
+        A = random_symmetric_tensor(4, 3, rng=8)
+        report = repro.solve(A, tol=0.0, max_iters=200, adaptive=adaptive,
+                             config=SolveConfig(deadline=time.time() - 1.0))
+        assert not report.result.converged
+        assert report.result.iterations == 0
+
 
 class TestServeJobsCarryMethod:
-    def test_spec_roundtrip_and_validation(self, monkeypatch):
+    def test_spec_roundtrip_and_validation(self):
         from repro.serve.jobs import BadSpec, JobSpec
-        from repro.solvers import registry
 
         doc = {"tensors": {"kind": "random", "count": 2, "m": 3, "n": 4,
                            "seed": 0}}
@@ -481,11 +450,3 @@ class TestServeJobsCarryMethod:
             JobSpec.from_doc({**doc, "method": "auto"})
         with pytest.raises(BadSpec, match="method"):
             JobSpec.from_doc({**doc, "method": "bogus"})
-        # a registered method run_job has no chunk runner for is refused,
-        # not run as SS-HOPM lanes under its name
-        monkeypatch.setitem(registry._REGISTRY, "power2", SolverEntry(
-            "power2", "throwaway", single=lambda tensor, **kw: None,
-            batch=lambda batch, **kw: None))
-        assert "power2" in available_methods()
-        with pytest.raises(BadSpec, match="method"):
-            JobSpec.from_doc({**doc, "method": "power2"})
